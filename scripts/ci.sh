@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # CI entry point: determinism lint gate, strict-warnings build + tier-1 test
 # suite, clang-tidy (when installed), a quick ThreadSanitizer leg, a quick
-# UBSan leg, a Release bench smoke, and (optionally) the full sanitizer
+# UBSan leg, the repository benchmark's self-test, a Release bench smoke, and
+# (optionally) the full sanitizer
 # subsets.
 #
 #   scripts/ci.sh          # lint + werror build + full ctest + obs smoke
 #                          # + clang-tidy (or skip) + tsan/ubsan quick legs
-#                          # + Release bench smoke
+#                          # + benchmark self-test + Release bench smoke
 #   scripts/ci.sh tsan     # additionally build + run the full TSan test subset
 #   scripts/ci.sh asan     # additionally build + run the ASan test subset
 #   scripts/ci.sh ubsan    # additionally build + run the full UBSan test subset
@@ -272,12 +273,15 @@ echo "==> ThreadSanitizer quick leg (thread pool + campaign determinism + fork)"
 # pool (read-only snapshot set + per-worker delta restores across workers),
 # and the multi-worker MicroArch campaigns (machine-state strikes from
 # worker threads). The preset's ctest filter covers more binaries; build and
-# run just these four here.
+# run just these four here, plus the Study's auto-fork test (forked stage-1
+# and job-layer campaigns on two workers) on its own.
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}" --target \
-  test_thread_pool test_determinism test_fork_equivalence test_microarch
+  test_thread_pool test_determinism test_fork_equivalence test_microarch \
+  test_study
 ctest --test-dir build-tsan -R '^test_(thread_pool|determinism|fork_equivalence|microarch)$' \
   -j "${JOBS}" --output-on-failure
+./build-tsan/tests/test_study --gtest_filter='Study.AutoFork*'
 
 echo "==> UBSan quick leg (executor arithmetic + serializers)"
 # Always-on subset of the full ubsan preset: the RNG/JSON/fault/executor and
@@ -288,6 +292,14 @@ cmake --build --preset ubsan -j "${JOBS}" --target \
   test_rng test_json test_fault test_executor test_fuzz_arith
 ctest --test-dir build-ubsan -R '^test_(rng|json|fault|executor|fuzz_arith)$' \
   -j "${JOBS}" --output-on-failure
+
+echo "==> repository benchmark self-test (perfbench/selftest.py)"
+# Every benchmark workload at its tiny size, untraced and traced, at the
+# reference seed: pins the seed-1 result digests and work counts recorded in
+# perfbench/references.json, so an execution change that moves any Study,
+# beam or campaign result (forking, register footprints, observers) fails
+# here. About 30 s on 4 cores after its own Release build.
+python3 perfbench/selftest.py
 
 echo "==> Release bench smoke (BENCH_simspeed.json)"
 BENCH_JSON="${OBS_DIR}/BENCH_simspeed.json"

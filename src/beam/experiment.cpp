@@ -95,7 +95,12 @@ class BeamObserver final : public sim::SimObserver {
   BeamObserver(std::vector<StrikePlan> plans, unsigned max_regs)
       : plans_(std::move(plans)), max_regs_(std::max(1u, max_regs)) {}
 
+  // One-shot, like the campaign's InjectionObserver: once every planned
+  // strike has fired and no operand restore or output strike is pending,
+  // every later hook call would be a no-op, so all claims are dropped and
+  // the rest of the trial runs on the bare whole-warp paths.
   unsigned wants() const override {
+    if (unfired_ == 0 && !restore_pending_ && pending_plan_ < 0) return 0u;
     return kWantsBeforeExec | kWantsAfterExec | kWantsTimeAdvance;
   }
 
@@ -120,7 +125,7 @@ class BeamObserver final : public sim::SimObserver {
       if (fired_[i] || p.target != StrikeTarget::FunctionalUnit) continue;
       if (static_cast<std::size_t>(p.unit) != kind_idx) continue;
       if (p.index != my_index) continue;
-      fired_[i] = true;
+      mark_fired(i);
       if (p.addr_path || store_value_path(*ctx.instr)) {
         const std::uint8_t reg =
             p.addr_path ? ctx.instr->src[0] : ctx.instr->src[1];
@@ -186,7 +191,7 @@ class BeamObserver final : public sim::SimObserver {
           const auto bit = static_cast<unsigned>(rng.uniform_u64(32));
           regs.set(reg, flip_bit32(regs.get(reg), bit));
           if (p.mbu) regs.set(reg, flip_bit32(regs.get(reg), (bit + 1) % 32));
-          fired_[i] = true;
+          mark_fired(i);
           break;
         }
         case StrikeTarget::SharedMem: {
@@ -197,7 +202,7 @@ class BeamObserver final : public sim::SimObserver {
           const auto bit = rng.uniform_u64(sh.bits());
           sh.flip_bit(bit);
           if (p.mbu) sh.flip_bit(bit ^ 1);
-          fired_[i] = true;
+          mark_fired(i);
           break;
         }
         case StrikeTarget::GlobalMem: {
@@ -207,7 +212,7 @@ class BeamObserver final : public sim::SimObserver {
           const auto bit = rng.uniform_u64(g.allocated_bits());
           g.flip_allocated_bit(bit);
           if (p.mbu) g.flip_allocated_bit(bit ^ 1);
-          fired_[i] = true;
+          mark_fired(i);
           break;
         }
         case StrikeTarget::Hidden: {
@@ -225,7 +230,7 @@ class BeamObserver final : public sim::SimObserver {
           } else {
             m.raise_due(sim::DueKind::HiddenResource);
           }
-          fired_[i] = true;
+          mark_fired(i);
           break;
         }
         default:
@@ -235,6 +240,11 @@ class BeamObserver final : public sim::SimObserver {
   }
 
  private:
+  void mark_fired(std::size_t i) {
+    fired_[i] = true;
+    --unfired_;
+  }
+
   static bool store_value_path(const isa::Instr& in) {
     return in.op == Opcode::STG || in.op == Opcode::STS;
   }
@@ -257,6 +267,7 @@ class BeamObserver final : public sim::SimObserver {
 
   std::vector<StrikePlan> plans_;
   std::vector<bool> fired_ = std::vector<bool>(plans_.size(), false);
+  std::size_t unfired_ = plans_.size();
   unsigned max_regs_;
   sim::Machine* machine_ = nullptr;
   std::array<std::uint64_t, kKinds> fu_counts_{};
@@ -296,6 +307,20 @@ Weights compute_weights(const CrossSectionDb& db, const ExposureBreakdown& e) {
 }
 
 }  // namespace
+
+namespace detail {
+std::unique_ptr<sim::SimObserver> unit_strike_observer(UnitKind unit,
+                                                       std::uint64_t index,
+                                                       std::uint64_t rand,
+                                                       unsigned max_regs) {
+  StrikePlan p;
+  p.target = StrikeTarget::FunctionalUnit;
+  p.unit = unit;
+  p.index = index;
+  p.rand = rand;
+  return std::make_unique<BeamObserver>(std::vector<StrikePlan>{p}, max_regs);
+}
+}  // namespace detail
 
 ExposureBreakdown compute_exposure(const core::Workload& w,
                                    std::uint64_t allocated_bits) {

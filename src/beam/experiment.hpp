@@ -142,4 +142,16 @@ struct ExposureBreakdown {
 ExposureBreakdown compute_exposure(const core::Workload& w,
                                    std::uint64_t allocated_bits);
 
+namespace detail {
+/// Test-only: not part of the beam API; run_beam is the only production user.
+/// The strike observer a beam run attaches to one trial, planned with a
+/// single functional-unit strike on the `index`-th lane execution of `unit`
+/// (`rand` seeds the fire-time choices), so a test can watch it drop its
+/// hook claims once the strike has fired.
+std::unique_ptr<sim::SimObserver> unit_strike_observer(isa::UnitKind unit,
+                                                       std::uint64_t index,
+                                                       std::uint64_t rand,
+                                                       unsigned max_regs);
+}  // namespace detail
+
 }  // namespace gpurel::beam

@@ -186,11 +186,18 @@ class Study {
   /// The device's Fig.-3 microbenchmark catalog.
   std::vector<kernels::CatalogEntry> micro_catalog() const;
 
+  virtual ~Study() = default;
+
+ protected:
+  /// Execution knobs of every campaign the Study runs — forwarded to
+  /// job::run_job (workers, observability, cache directory, auto-forking)
+  /// and, for auto-forking, to the stage-1 micro campaigns. None is part of
+  /// a spec's content hash, because none can change a result; virtual so a
+  /// harness can vary them and check exactly that.
+  virtual job::RunOptions run_options() const;
+
  private:
   WorkloadConfig workload_config(double scale, isa::CompilerProfile profile) const;
-  /// Execution knobs forwarded to job::run_job (workers, observability,
-  /// cache directory) — never part of a spec's content hash.
-  job::RunOptions run_options() const;
   std::optional<fault::CampaignResult> run_injection(
       const fault::Injector& injector, const kernels::CatalogEntry& entry,
       bool aux_modes, unsigned injections_per_kind, bool* substituted);

@@ -355,6 +355,20 @@ SiteCounts count_prepared(const Injector& injector, core::Workload& w,
   return sites;
 }
 
+/// Upper bound on the trials this process simulates: every requested trial,
+/// split over the shards, less a resumed prefix.
+std::uint64_t budgeted_trials(const CampaignConfig& c) {
+  const std::uint64_t requested =
+      std::uint64_t{kKinds} * c.injections_per_kind + c.rf_injections +
+      c.pred_injections + c.ia_injections + c.store_value_injections +
+      c.store_addr_injections + c.sched_injections + c.scoreboard_injections +
+      c.cta_injections + c.warp_control_injections;
+  const unsigned shards = std::max(1u, c.shard_count);
+  const std::uint64_t owned = (requested + shards - 1) / shards;
+  const std::uint64_t done = c.resume != nullptr ? c.resume->trials_done : 0;
+  return owned > done ? owned - done : 0;
+}
+
 }  // namespace
 
 // Micro-architectural strata fold into the overall AVF weighted by their
@@ -417,6 +431,13 @@ double CampaignResult::overall_masked() const {
       den += static_cast<double>(s.sites);
   if (den <= 0) return 0.0;  // nothing injected: no masked mass either
   return 1.0 - overall_avf_sdc() - overall_avf_due();
+}
+
+unsigned auto_fork_epochs(bool fork_safe, std::uint64_t golden_lanes,
+                          std::uint64_t trials) {
+  if (!fork_safe) return 0;
+  return static_cast<unsigned>(std::min<std::uint64_t>(
+      {kAutoForkMaxEpochs, golden_lanes / kAutoForkLanesPerEpoch, trials}));
 }
 
 unsigned ia_pc_bits(const core::Workload& w) {
@@ -509,14 +530,22 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   // Checkpoint-fork batching: place up to fork_epochs snapshot marks evenly
   // over the trial's cumulative lane-instruction count (golden run; trials
   // are bit-identical until their injection fires, so the prefix is shared).
-  bool forking = config.fork_epochs > 0 && ref->fork_safe();
+  // Automatic batching picks the epoch count here, before the counting run,
+  // from the golden run length and the budget's upper bound on the trials
+  // this process simulates (kinds without sites and plan-time masked strata
+  // only lower the real count), so its marks ride on that run too.
+  unsigned fork_epochs = config.fork_epochs;
+  if (fork_epochs == 0 && config.auto_fork)
+    fork_epochs = auto_fork_epochs(ref->fork_safe(),
+                                   ref->golden_stats().lane_instructions,
+                                   budgeted_trials(config));
+  bool forking = fork_epochs > 0 && ref->fork_safe();
   std::vector<std::uint64_t> marks;
   if (forking) {
     const std::uint64_t total = ref->golden_stats().lane_instructions;
-    for (unsigned i = 1; i <= config.fork_epochs; ++i) {
-      const std::uint64_t m = total / (config.fork_epochs + 1) * i +
-                              total % (config.fork_epochs + 1) * i /
-                                  (config.fork_epochs + 1);
+    for (unsigned i = 1; i <= fork_epochs; ++i) {
+      const std::uint64_t m = total / (fork_epochs + 1) * i +
+                              total % (fork_epochs + 1) * i / (fork_epochs + 1);
       if (m == 0 || m >= total) continue;
       if (!marks.empty() && marks.back() == m) continue;
       marks.push_back(m);
@@ -783,7 +812,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   auto note_capture = [&](const std::vector<sim::Snapshot>& snaps,
                           bool shared) {
     std::uint64_t bytes = 0;
-    for (const sim::Snapshot& s : snaps) bytes += s.memory.size();
+    for (const sim::Snapshot& s : snaps) bytes += s.bytes();
     metrics.counter("gpurel_campaign_snapshots_total").add(snaps.size());
     if (sink != nullptr)
       sink->emit("campaign_snapshot_capture", {{"workload", result.workload},
@@ -1113,18 +1142,17 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   }
 
   // Snapshot-pool footprint: the bytes actually retained for fork batching —
-  // each distinct snapshot set's memory images (ONE set under the shared
-  // pool, one per capturing worker on the legacy path) plus every worker's
-  // delta-tracking dirty scratch. set_max keeps the high-water mark across
-  // campaigns in one process.
+  // each distinct snapshot set (ONE set under the shared pool, one per
+  // capturing worker on the legacy path), memory images and executor state
+  // alike, plus every worker's delta-tracking dirty scratch. set_max keeps
+  // the high-water mark across campaigns in one process.
   if (forking) {
     std::uint64_t pool_bytes = 0;
     if (shared_pool)
-      for (const sim::Snapshot& s : shared_snaps) pool_bytes += s.memory.size();
+      for (const sim::Snapshot& s : shared_snaps) pool_bytes += s.bytes();
     for (WorkerState& st : states) {
       if (st.snap_set == &st.own_snaps)
-        for (const sim::Snapshot& s : st.own_snaps)
-          pool_bytes += s.memory.size();
+        for (const sim::Snapshot& s : st.own_snaps) pool_bytes += s.bytes();
       if (st.dev) pool_bytes += st.dev->memory().dirty_scratch_bytes();
     }
     metrics.gauge("gpurel_campaign_snapshot_pool_bytes")

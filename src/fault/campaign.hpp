@@ -188,21 +188,31 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
   /// only wall-clock changes. Ignored (plain execution) for workloads that
   /// are not fork-safe.
   unsigned fork_epochs = 0;
-  /// Delta restores (fork_epochs > 0 only): arm coarse dirty tracking on the
-  /// worker's device so consecutive trials forked from the same snapshot copy
-  /// back only the state the previous suffix touched instead of the full
-  /// device image. Bit-identity-neutral; off switches every restore back to
+  /// Delta restores (whenever the campaign forks: fork_epochs > 0, or
+  /// auto_fork picks epochs): arm coarse dirty tracking on the worker's
+  /// device so consecutive trials forked from the same snapshot copy back
+  /// only the state the previous suffix touched instead of the full device
+  /// image. Bit-identity-neutral; off switches every restore back to
   /// the full copy (the A/B knob for the ci.sh byte-identity leg and the
   /// bench delta series).
   bool fork_delta = true;
-  /// Shared snapshot set (fork_epochs > 0 only): capture the fault-free
-  /// prefix once, before workers start, and share the immutable snapshot
-  /// vector read-only across all workers — eliminating the W-1 redundant
-  /// prefix simulations of the per-worker capture path. Each worker's trial
+  /// Shared snapshot set (whenever the campaign forks: fork_epochs > 0, or
+  /// auto_fork picks epochs): capture the fault-free prefix once, before
+  /// workers start, and share the immutable snapshot vector read-only across
+  /// all workers — eliminating the W-1 redundant prefix simulations of the
+  /// per-worker capture path. Each worker's trial
   /// batch is sorted by fork epoch so consecutive trials reuse a hot
   /// snapshot. Bit-identity-neutral; off restores the legacy lazy per-worker
   /// capture.
   bool fork_shared_pool = true;
+  /// Automatic fork batching: when fork_epochs is 0, fork with
+  /// auto_fork_epochs() epochs, chosen from the golden run length and the
+  /// budget's upper bound on the trials this process simulates (requested
+  /// trials split over the shards, less a resumed prefix), before the
+  /// campaign's fault-free counting run. Bit-identity-neutral like
+  /// fork_epochs; an explicit fork_epochs > 0 wins. The Study turns it on for
+  /// every campaign it runs.
+  bool auto_fork = false;
   /// Fault-propagation flight recorder: when true, every executed trial runs
   /// with an obs::PropagationObserver teed behind the injection observer,
   /// producing a per-trial provenance record (emitted as `propagation_record`
@@ -250,6 +260,40 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
 };
 
 using WorkloadFactory = std::function<std::unique_ptr<core::Workload>()>;
+
+/// Automatic fork-epoch rule (CampaignConfig::auto_fork). A forked trial
+/// skips the fault-free prefix up to its epoch, which it would otherwise
+/// simulate with the injection hooks attached (the slow per-lane path); the
+/// price is one hook-free capture run per campaign plus E snapshots held in
+/// memory. The rule:
+///   - 0 when the workload is not fork-safe;
+///   - otherwise min(kAutoForkMaxEpochs, golden_lanes /
+///     kAutoForkLanesPerEpoch, trials): no more epochs than trials can use,
+///     no epoch shorter than kAutoForkLanesPerEpoch lane instructions (so
+///     runs shorter than that get 0), and at most 8.
+/// `trials` is the campaign's budgeted trial count, known before its
+/// counting run, so the snapshot marks ride on that run.
+/// Measured with 4-worker campaigns (3-5 repeats, median) on a 4-vCPU
+/// x86-64 host, Release build, epochs swept over {0,1,2,4,8,16,32}:
+///   - LAVA-F SASSIFI at scale 0.5 (2.5M lane instructions, 130 trials):
+///     1.10 s unforked, 0.40 s at 8 epochs, 0.40 s at 16, 0.37 s at 32;
+///     HOTSPOT-F, GEMM-F (Volta) and the Kepler micros behaved alike, with
+///     8 vs 16 epochs within run-to-run noise everywhere. Snapshot memory
+///     grows linearly with E, so the cap is 8, not 16.
+///   - MXM-F with n=16 (26k lane instructions; NVBitFI, 20 trials per
+///     kind plus 20 RF): 50 ms unforked, 25 ms at 4 epochs (6.5k lanes
+///     each), 29 ms at 8 (3.3k lanes each) — shorter epochs lose to restore
+///     and setup costs, hence 6144 lanes.
+///   - Few trials (LAVA-F SASSIFI, scale 0.5, 1-8 RF trials, 7 repeats,
+///     median; unforked vs this rule): 1 worker 91/142/167 ms unforked vs
+///     83/122/132 ms forked at 1/2/3 trials; 4 workers 79/114/132 ms vs
+///     83/102/130 ms. The capture run is hook-free, so even one trial
+///     forks at no measurable loss: no minimum trial count is needed.
+/// Pure and deterministic; the result never changes campaign outcomes.
+inline constexpr std::uint64_t kAutoForkMaxEpochs = 8;
+inline constexpr std::uint64_t kAutoForkLanesPerEpoch = 6144;
+unsigned auto_fork_epochs(bool fork_safe, std::uint64_t golden_lanes,
+                          std::uint64_t trials);
 
 /// Width of the InstructionAddress fault model's flip range for a prepared
 /// workload: the smallest b (>= 1) with 2^b covering every program's

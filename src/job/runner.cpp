@@ -118,6 +118,7 @@ JobResult run_job(const JobSpec& spec, const RunOptions& opts) {
     cc.workers = opts.workers;
     cc.fork_epochs = spec.fork_epochs;
     cc.fork_delta = spec.fork_delta;
+    cc.auto_fork = opts.auto_fork;
     cc.propagation = spec.propagation;
     cc.shard_index = spec.shard.index;
     cc.shard_count = spec.shard.count;

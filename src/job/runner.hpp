@@ -31,6 +31,11 @@ struct RunOptions {
   /// Owned trials between checkpoints (campaign jobs; 0 with a non-empty
   /// checkpoint_path defaults to 64).
   unsigned checkpoint_every = 0;
+  /// Campaign jobs only: fork batching with an automatically chosen epoch
+  /// count (fault::CampaignConfig::auto_fork) when the spec sets no
+  /// fork_epochs. Results are bit-identical either way, so like every field
+  /// here it is not part of the spec or its hash.
+  bool auto_fork = false;
 };
 
 /// Execute a spec (cache-aware) and return its result. Throws

@@ -1,5 +1,7 @@
 #include "sim/decode.hpp"
 
+#include <algorithm>
+
 #include "isa/instruction.hpp"
 #include "sim/instr_info.hpp"
 #include "sim/timing.hpp"
@@ -44,6 +46,21 @@ void build_decode_table(const arch::GpuConfig& gpu, const isa::Program& prog,
     d.latency = static_cast<std::uint16_t>(latency(gpu, in.op));
     out.push_back(d);
   }
+}
+
+unsigned register_footprint(const isa::Program& prog) {
+  unsigned fp = prog.regs_per_thread();
+  for (std::uint32_t pc = 0; pc < prog.size(); ++pc) {
+    const Instr& in = prog.at(pc);
+    // Every named source slot counts, immediate-flagged ones included: a few
+    // opcodes read src[1] without consulting kAuxImmSrc1, and an
+    // over-approximation only costs a wider copy.
+    for (unsigned s = 0; s < 3; ++s)
+      if (in.src[s] != kRZ) fp = std::max(fp, in.src[s] + src_reg_width(in, s));
+    if (isa::writes_gpr(in.op) && in.dst != kRZ)
+      fp = std::max(fp, in.dst + std::max(dst_reg_width(in), 1u));
+  }
+  return std::min(fp, 256u);
 }
 
 }  // namespace gpurel::sim

@@ -47,4 +47,14 @@ struct DecodedInstr {
 void build_decode_table(const arch::GpuConfig& gpu, const isa::Program& prog,
                         std::vector<DecodedInstr>& out);
 
+/// Register footprint of `prog`: one past the highest GPR any of its
+/// instructions can read or write, counting FP64/B64 pairs and MMA fragment
+/// widths, and never less than the declared regs_per_thread() (the span
+/// register-file injections sample from). Program::validate does not bound
+/// operand indices by the declared count, so the operands are scanned.
+/// Registers at or above the footprint are never touched by the program's
+/// semantics, so the executor clears, captures and restores only
+/// [0, footprint) of each lane and of the scoreboard. At most 256.
+unsigned register_footprint(const isa::Program& prog);
+
 }  // namespace gpurel::sim

@@ -145,9 +145,8 @@ void Executor::rebuild_live_lists() {
 
 // The _raw variants hand out the next pool slot without reinitialising it.
 // Only the snapshot-restore path may use them: it assigns every field the
-// initialising variants would have cleared (registers, scoreboards, shared
-// memory), so the clears would be dead stores — and they dominate full
-// restore cost (a warp's lanes + scoreboard are ~34 KB).
+// initialising variants would have cleared (footprint registers,
+// scoreboards, shared memory), so the clears would be dead stores.
 BlockRt* Executor::acquire_block_raw() {
   if (blocks_used_ == block_pool_.size())
     block_pool_.push_back(std::make_unique<BlockRt>());
@@ -172,12 +171,41 @@ WarpRt* Executor::acquire_warp() {
   w->stack.clear();
   w->exited = false;
   w->at_barrier = false;
-  w->reg_ready.fill(0);
+  // Only the launch's register footprint is cleared: the program never
+  // touches registers past it, so whatever an earlier launch or trial left
+  // there is unobservable (a strike landing there stays masked, as it did on
+  // a zeroed register).
+  std::fill_n(w->reg_ready.begin(), regs_, 0);
   w->pred_ready.fill(0);
-  w->lanes.fill(ThreadRegs{});
+  for (ThreadRegs& lane : w->lanes) {
+    std::fill_n(lane.r.begin(), regs_, 0u);
+    lane.preds = 0;
+  }
   w->dirty = true;
   return w;
 }
+
+namespace {
+
+// Footprint-sized register transfer between a live warp and its snapshot.
+void save_regs(const WarpRt& w, unsigned n, WarpSnap& ws) {
+  ws.reg_ready.assign(w.reg_ready.begin(), w.reg_ready.begin() + n);
+  ws.regs.resize(std::size_t{32} * n);
+  for (unsigned l = 0; l < 32; ++l) {
+    std::copy_n(w.lanes[l].r.begin(), n, ws.regs.begin() + std::size_t{l} * n);
+    ws.preds[l] = w.lanes[l].preds;
+  }
+}
+
+void load_regs(const WarpSnap& ws, unsigned n, WarpRt& w) {
+  std::copy_n(ws.reg_ready.begin(), n, w.reg_ready.begin());
+  for (unsigned l = 0; l < 32; ++l) {
+    std::copy_n(ws.regs.begin() + std::size_t{l} * n, n, w.lanes[l].r.begin());
+    w.lanes[l].preds = ws.preds[l];
+  }
+}
+
+}  // namespace
 
 Snapshot Executor::make_snapshot(std::uint64_t cycle,
                                  std::uint64_t lane_mark) const {
@@ -187,6 +215,7 @@ Snapshot Executor::make_snapshot(std::uint64_t cycle,
   snap.memory = global_.save_allocated();
   ExecutorSnapshot& e = snap.exec;
   e.cycle = cycle;
+  e.regs = regs_;
   e.stats = stats_;
   e.next_block = next_block_;
   e.total_blocks = total_blocks_;
@@ -232,9 +261,8 @@ Snapshot Executor::make_snapshot(std::uint64_t cycle,
         ws.exited = w->exited;
         ws.at_barrier = w->at_barrier;
         ws.next_try = w->next_try;
-        ws.reg_ready = w->reg_ready;
         ws.pred_ready = w->pred_ready;
-        ws.lanes = w->lanes;
+        save_regs(*w, regs_, ws);
         e.warps.push_back(std::move(ws));
       }
     }
@@ -298,9 +326,8 @@ void Executor::restore_snapshot(const ExecutorSnapshot& snap) {
     w->exited = ws.exited;
     w->at_barrier = ws.at_barrier;
     w->next_try = ws.next_try;
-    w->reg_ready = ws.reg_ready;
     w->pred_ready = ws.pred_ready;
-    w->lanes = ws.lanes;
+    load_regs(ws, snap.regs, *w);
     w->dirty = false;  // slot now equals snapshot entity i
     warps[i] = w;
   }
@@ -360,9 +387,8 @@ void Executor::restore_snapshot_delta(const ExecutorSnapshot& snap) {
     w->at_barrier = ws.at_barrier;
     w->next_try = ws.next_try;
     if (w->dirty) {
-      w->reg_ready = ws.reg_ready;
       w->pred_ready = ws.pred_ready;
-      w->lanes = ws.lanes;
+      load_regs(ws, snap.regs, *w);
       w->dirty = false;
     }
   }
@@ -1241,6 +1267,10 @@ LaunchStats Executor::run(const KernelLaunch& launch, SimObserver* observer,
   live_warps_.clear();
   build_decode_table(gpu_, *launch.program, decode_);
   code_ = &launch.program->at(0);
+  regs_ = register_footprint(*launch.program);
+  if (resume != nullptr && resume->exec.regs != regs_)
+    throw std::logic_error(
+        "Executor::run: snapshot register footprint does not match the launch");
 
   if (resume == nullptr) {
     resident_ = nullptr;  // fresh placement invalidates snapshot residency

@@ -161,6 +161,7 @@ class Executor final : public Machine {
   const KernelLaunch* launch_ = nullptr;
   const isa::Instr* code_ = nullptr;   // launch_->program's code, cached
   std::vector<DecodedInstr> decode_;   // rebuilt per run (per program x GPU)
+  unsigned regs_ = 0;  // register_footprint() of the launch's program
   std::vector<SmState> sms_;
   std::vector<std::vector<std::uint32_t>> rings_;  // per-scheduler candidates
   std::vector<BlockRt*> live_blocks_;

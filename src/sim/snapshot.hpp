@@ -4,11 +4,12 @@
 // injection fires, so the fault-free prefix can be simulated once and every
 // trial forked from the saved state. A Snapshot captures everything a trial
 // resumed mid-launch needs: the allocated global-memory image, every resident
-// block's shared memory and warp state (registers, divergence stacks,
-// scoreboards), the per-SM scheduler state (warp order, round-robin cursors,
-// next_wake caches), and the in-progress LaunchStats accumulators. The PR-4
-// watermark pools make the copies cheap and bounded — only live blocks and
-// warps are captured; retired pool slots are never touched again.
+// block's shared memory and warp state (divergence stacks, and registers
+// and scoreboards over the launch's register footprint only), the per-SM
+// scheduler state (warp order, round-robin cursors, next_wake caches), and
+// the in-progress LaunchStats accumulators. The PR-4 watermark pools make the
+// copies cheap and bounded — only live blocks and warps are captured;
+// retired pool slots are never touched again.
 //
 // Snapshots are taken at the end of a simulated cycle, keyed by the
 // cumulative lane-instruction count of the trial (the issue-domain counter
@@ -44,9 +45,15 @@ struct WarpSnap {
   bool exited = false;
   bool at_barrier = false;
   std::uint64_t next_try = 0;
-  std::array<std::uint64_t, 256> reg_ready{};
   std::array<std::uint64_t, 8> pred_ready{};
-  std::array<ThreadRegs, 32> lanes;
+  /// Register state over the launch's register footprint only
+  /// (ExecutorSnapshot::regs entries per lane): scoreboard ready times
+  /// reg_ready[r] and lane values regs[lane * footprint + r]. Registers past
+  /// the footprint are never read by the launch's program, so they are
+  /// neither captured nor restored.
+  std::vector<std::uint64_t> reg_ready;
+  std::vector<std::uint32_t> regs;
+  std::array<std::uint8_t, 32> preds{};
 };
 
 /// One resident block; `warps` indexes into ExecutorSnapshot::warps in the
@@ -76,6 +83,9 @@ struct SmSnap {
 /// Full executor state at the end of one simulated cycle of one launch.
 struct ExecutorSnapshot {
   std::uint64_t cycle = 0;
+  /// Register footprint of the launch (sim::register_footprint): the number
+  /// of registers per lane each WarpSnap holds.
+  unsigned regs = 0;
   LaunchStats stats;  // in-progress accumulators (not finalized)
   std::vector<BlockSnap> blocks;
   std::vector<WarpSnap> warps;
@@ -102,6 +112,11 @@ struct Snapshot {
   std::uint32_t memory_top = 0;
   std::vector<std::uint8_t> memory;  // bytes [GlobalMemory::kNullGuard, top)
   ExecutorSnapshot exec;
+
+  /// Bytes this snapshot holds: the global-memory image plus the executor
+  /// state (warps with their footprint registers and divergence stacks,
+  /// blocks with their shared memory, per-SM lists).
+  std::uint64_t bytes() const;
 };
 
 /// Capture/resume channel of Executor::run. Exactly one of the two roles is

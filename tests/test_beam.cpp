@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "beam/experiment.hpp"
+#include "common/bits.hpp"
+#include "job/serialize.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/microbench.hpp"
 
@@ -189,6 +191,57 @@ TEST(Beam, ZeroWeightGuard) {
   const auto r = run_beam(db, mxm_factory(16), bc);
   EXPECT_EQ(r.outcomes.total(), 0u);
   EXPECT_DOUBLE_EQ(r.fit_sdc, 0.0);
+}
+
+
+TEST(BeamObserver, DropsHookClaimsOnceItsStrikeHasFired) {
+  // One-shot: after its last strike has fired the observer claims no hook,
+  // so the rest of the trial runs on the bare whole-warp paths. A strike
+  // that never fires keeps the claims for the whole trial.
+  auto w = mxm_factory()();
+  sim::Device dev(w->config().gpu);
+  w->prepare(dev);
+  const std::uint64_t ffma =
+      w->golden_stats().lane_per_unit[static_cast<std::size_t>(UnitKind::FFMA)];
+  ASSERT_GT(ffma, 100u);
+
+  auto fires = detail::unit_strike_observer(UnitKind::FFMA, ffma / 2, 0x1234,
+                                            w->max_regs_per_thread());
+  EXPECT_NE(fires->wants(), 0u);
+  w->run_trial(dev, fires.get());
+  EXPECT_EQ(fires->wants(), 0u);
+
+  auto never = detail::unit_strike_observer(UnitKind::FFMA, ffma, 0x1234,
+                                            w->max_regs_per_thread());
+  const core::TrialResult r = w->run_trial(dev, never.get());
+  EXPECT_EQ(r.outcome, core::Outcome::Masked);
+  EXPECT_NE(never->wants(), 0u);
+}
+
+TEST(BeamObserver, ResultsMatchDigestsRecordedBeforeOneShot) {
+  // FNV-1a digests of job::beam_result_to_json recorded while the observer
+  // still claimed every hook for the whole trial: dropping the claims after
+  // the last strike must not move a byte. Covers single-strike accelerated
+  // runs (ECC off and on) and multi-strike natural runs.
+  auto digest = [](const core::WorkloadFactory& f, BeamMode mode, bool ecc,
+                   unsigned runs, double flux) {
+    BeamConfig bc;
+    bc.runs = runs;
+    bc.mode = mode;
+    bc.ecc = ecc;
+    bc.seed = 0xbea3;
+    bc.workers = 2;
+    bc.flux_scale = flux;
+    return fnv1a64(
+        job::beam_result_to_json(run_beam(CrossSectionDb::kepler(), f, bc))
+            .dump());
+  };
+  EXPECT_EQ(digest(mxm_factory(), BeamMode::Accelerated, false, 200, 1.0),
+            0x71f1afd85ef25bf2u);
+  EXPECT_EQ(digest(mxm_factory(), BeamMode::Natural, false, 30, 0.01),
+            0x9e259cbb1c940a0fu);
+  EXPECT_EQ(digest(fadd_factory(), BeamMode::Accelerated, true, 100, 1.0),
+            0x07dfdd8f749efafau);
 }
 
 }  // namespace

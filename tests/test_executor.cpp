@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "common/fp16.hpp"
 #include "isa/kernel_builder.hpp"
+#include "kernels/registry.hpp"
 #include "sim/device.hpp"
 
 namespace gpurel::sim {
@@ -508,6 +510,136 @@ TEST(Executor, SelAndMinMax) {
   ASSERT_EQ(dev.launch(kl).due, DueKind::None);
   const auto outv = dev.copy_out<std::uint32_t>(po, n);
   for (unsigned i = 0; i < n; ++i) EXPECT_EQ(outv[i], i < 10 ? 10u : i);
+}
+
+
+// Poisons every register past the launch's register footprint (lane values
+// and scoreboard ready times) the first time it sees a warp, and checks when
+// the warp's block retires that the poison is intact. A read of a poisoned
+// register would move the trial's outputs or timing; a write would disturb
+// the poison. Warps are placed with next_try 20 cycles out, so every warp is
+// poisoned at a time step before it issues.
+class FootprintPoison final : public SimObserver {
+ public:
+  static constexpr std::uint32_t kValue = 0xdeadbeefu;
+  static constexpr std::uint64_t kReady = std::uint64_t{1} << 40;
+
+  unsigned wants() const override { return kWantsTimeAdvance | kWantsBlocks; }
+  void on_launch_begin(const LaunchInfo& li, Machine& m) override {
+    footprint_ = register_footprint(*li.launch->program);
+    grid_x_ = li.launch->grid.x;
+    machine_ = &m;
+    seen_.clear();
+  }
+  void on_time_advance(std::uint64_t, std::uint64_t, Machine& m) override {
+    if (footprint_ == 256) return;
+    for (std::size_t sm = 0; sm < m.sched_sm_count(); ++sm) {
+      for (std::size_t i = 0; i < m.sm_warp_count(sm); ++i) {
+        WarpRt* w = m.sm_warp_state(sm, i);
+        if (!seen_.insert(w->warp_id).second) continue;
+        ++poisoned_warps;
+        for (ThreadRegs& lane : w->lanes)
+          std::fill(lane.r.begin() + footprint_, lane.r.end(), kValue);
+        std::fill(w->reg_ready.begin() + footprint_, w->reg_ready.end(), kReady);
+      }
+    }
+  }
+  void on_block_retired(unsigned sm, unsigned cta, std::uint64_t) override {
+    if (footprint_ == 256) return;
+    for (std::size_t i = 0; i < machine_->sm_warp_count(sm); ++i) {
+      const WarpRt* w = machine_->sm_warp_state(sm, i);
+      if (w->block->cta_y * grid_x_ + w->block->cta_x != cta) continue;
+      ++checked_warps;
+      for (const ThreadRegs& lane : w->lanes)
+        for (unsigned r = footprint_; r < 256; ++r)
+          violations += lane.r[r] != kValue;
+      for (unsigned r = footprint_; r < 256; ++r)
+        violations += w->reg_ready[r] != kReady;
+    }
+  }
+
+  std::uint64_t poisoned_warps = 0;
+  std::uint64_t checked_warps = 0;
+  std::uint64_t violations = 0;
+
+ private:
+  unsigned footprint_ = 0;
+  unsigned grid_x_ = 0;
+  Machine* machine_ = nullptr;
+  std::set<unsigned> seen_;
+};
+
+TEST(RegisterFootprint, CoversEveryRegisterOfEveryCatalogProgram) {
+  // Every Kepler and Volta application and microbenchmark, under both
+  // compiler profiles: the footprint is at least the declared register
+  // count, and poisoning everything past it leaves the fault-free trial's
+  // outputs, cycles and poison untouched.
+  std::uint64_t poisoned = 0;
+  for (const bool volta : {false, true}) {
+    const arch::GpuConfig gpu = volta ? arch::GpuConfig::volta_v100(2)
+                                      : arch::GpuConfig::kepler_k40c(2);
+    std::vector<kernels::CatalogEntry> entries =
+        volta ? kernels::volta_app_catalog() : kernels::kepler_app_catalog();
+    const std::vector<kernels::CatalogEntry> micro =
+        volta ? kernels::volta_micro_catalog() : kernels::kepler_micro_catalog();
+    entries.insert(entries.end(), micro.begin(), micro.end());
+    entries.push_back({"LDST", core::Precision::Int32});
+    for (const CompilerProfile profile :
+         {CompilerProfile::Cuda7, CompilerProfile::Cuda10}) {
+      for (const kernels::CatalogEntry& e : entries) {
+        const std::string name = kernels::entry_name(e) + (volta ? "/volta" : "/kepler") +
+                                 (profile == CompilerProfile::Cuda7 ? "/cuda7" : "/cuda10");
+        auto w = kernels::make_workload(e.base, e.precision,
+                                        {gpu, profile, 0x5eed, 0.05});
+        Device dev(gpu);
+        w->prepare(dev);
+        for (const Program* p : w->programs())
+          EXPECT_GE(register_footprint(*p), p->regs_per_thread())
+              << name << " " << p->name();
+        FootprintPoison poison;
+        const core::TrialResult r = w->run_trial(dev, &poison);
+        EXPECT_EQ(r.outcome, core::Outcome::Masked) << name;
+        EXPECT_EQ(r.stats.cycles, w->golden_stats().cycles) << name;
+        EXPECT_EQ(r.stats.lane_instructions, w->golden_stats().lane_instructions)
+            << name;
+        EXPECT_EQ(poison.violations, 0u) << name;
+        EXPECT_EQ(poison.checked_warps, poison.poisoned_warps) << name;
+        poisoned += poison.poisoned_warps;
+      }
+    }
+  }
+  EXPECT_GT(poisoned, 0u);
+}
+
+TEST(RegisterFootprint, CountsPairWidthsPastTheDeclaredCount) {
+  // Program::validate does not bound operand indices by the declared count,
+  // so the footprint reaches the highest register an operand touches, with
+  // B64 and FP64 pairs counted in full.
+  auto instr = [](Opcode op, std::uint8_t dst, std::uint8_t s0,
+                  std::uint8_t s1 = isa::kRZ, std::uint8_t aux = 0) {
+    isa::Instr in;
+    in.op = op;
+    in.dst = dst;
+    in.src[0] = s0;
+    in.src[1] = s1;
+    in.aux = aux;
+    return in;
+  };
+  const auto b64 = static_cast<std::uint8_t>(MemWidth::B64);
+  const isa::Instr exit = instr(Opcode::EXIT, isa::kRZ, isa::kRZ);
+  EXPECT_EQ(register_footprint(Program(
+                "ldg64", {instr(Opcode::LDG, 100, 2, isa::kRZ, b64), exit}, 8, 0)),
+            102u);
+  EXPECT_EQ(register_footprint(Program(
+                "stg64", {instr(Opcode::STG, isa::kRZ, 2, 60, b64), exit}, 8, 0)),
+            62u);
+  EXPECT_EQ(register_footprint(Program(
+                "dadd", {instr(Opcode::DADD, 40, 10, 70), exit}, 8, 0)),
+            72u);
+  // The declared count is the floor when the operands stay below it.
+  EXPECT_EQ(register_footprint(Program(
+                "small", {instr(Opcode::MOV, 3, 2), exit}, 32, 0)),
+            32u);
 }
 
 }  // namespace

@@ -448,5 +448,31 @@ TEST(OutcomeCounts, Accounting) {
   EXPECT_GT(ci.upper, 0.5);
 }
 
+
+TEST(AutoFork, EpochRuleIsZeroWhenForkingCannotPay) {
+  // Not fork-safe, no trials, or a run too short for one epoch.
+  EXPECT_EQ(auto_fork_epochs(false, 10'000'000, 1000), 0u);
+  EXPECT_EQ(auto_fork_epochs(true, 10'000'000, 0), 0u);
+  EXPECT_EQ(auto_fork_epochs(true, 0, 1000), 0u);
+  EXPECT_EQ(auto_fork_epochs(true, kAutoForkLanesPerEpoch - 1, 1000), 0u);
+  EXPECT_EQ(auto_fork_epochs(true, kAutoForkLanesPerEpoch, 1000), 1u);
+}
+
+TEST(AutoFork, EpochRuleIsBoundedMonotoneAndDeterministic) {
+  unsigned prev = 0;
+  for (std::uint64_t lanes = 1; lanes < (std::uint64_t{1} << 40); lanes *= 3) {
+    const unsigned e = auto_fork_epochs(true, lanes, 1000);
+    EXPECT_LE(e, kAutoForkMaxEpochs) << lanes;
+    EXPECT_GE(e, prev) << lanes;  // longer runs never get fewer epochs
+    EXPECT_EQ(e, auto_fork_epochs(true, lanes, 1000)) << lanes;
+    prev = e;
+  }
+  EXPECT_EQ(prev, kAutoForkMaxEpochs);
+  // No more epochs than trials can use.
+  EXPECT_EQ(auto_fork_epochs(true, 10'000'000, 3), 3u);
+  EXPECT_EQ(auto_fork_epochs(true, 10'000'000, ~std::uint64_t{0}),
+            kAutoForkMaxEpochs);
+}
+
 }  // namespace
 }  // namespace gpurel::fault

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "fault/campaign.hpp"
@@ -15,6 +16,8 @@
 #include "kernels/matmul.hpp"
 #include "kernels/microbench.hpp"
 #include "kernels/sort.hpp"
+#include "obs/metrics.hpp"
+#include "sim/decode.hpp"
 #include "sim/device.hpp"
 
 namespace gpurel::fault {
@@ -41,6 +44,7 @@ struct RunOut {
 struct ForkKnobs {
   bool delta = true;
   bool shared_pool = true;
+  bool auto_fork = false;
 };
 
 RunOut run(const Injector& inj, const WorkloadFactory& factory,
@@ -54,6 +58,7 @@ RunOut run(const Injector& inj, const WorkloadFactory& factory,
   cc.fork_epochs = fork_epochs;
   cc.fork_delta = knobs.delta;
   cc.fork_shared_pool = knobs.shared_pool;
+  cc.auto_fork = knobs.auto_fork;
   RunOut out;
   cc.trial_outcomes_out = &out.outcomes;
   cc.trial_cycles_out = &out.cycles;
@@ -78,6 +83,10 @@ void expect_same_result(const CampaignResult& a, const CampaignResult& b) {
   expect_same_counts(a.ia, b.ia, "ia");
   expect_same_counts(a.store_value, b.store_value, "store_value");
   expect_same_counts(a.store_addr, b.store_addr, "store_addr");
+  expect_same_counts(a.scheduler, b.scheduler, "scheduler");
+  expect_same_counts(a.scoreboard, b.scoreboard, "scoreboard");
+  expect_same_counts(a.cta, b.cta, "cta");
+  expect_same_counts(a.warp_control, b.warp_control, "warp_control");
 }
 
 void expect_same_trials(const RunOut& a, const RunOut& b) {
@@ -197,6 +206,97 @@ TEST(ForkEquivalence, DeviceSteppedWorkloadsForkAcrossWorkersAndEpochs) {
       expect_same_trials(base, forked);
     }
   }
+}
+
+TEST(ForkEquivalence, KernelsWithDifferentFootprintsForkAcrossLaunches) {
+  // QUICKSORT-DEV chains four kernels whose register footprints differ, so a
+  // warp pool slot carries registers a wider kernel left behind into a
+  // narrower one
+  // (only the footprint is cleared or restored), and RF strikes sample the
+  // widest kernel's registers, landing past a narrower kernel's footprint.
+  // Scoreboard strikes do the same to ready times. Forked (explicit and
+  // automatic) and unforked campaigns must agree trial for trial.
+  for (const char* name : {"SASSIFI", "MicroArch"}) {
+    auto inj = make_injector(name);
+    const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
+                            0x5eed, 0.05};
+    auto factory = [&] {
+      return std::make_unique<Quicksort>(wc, 0, Stepping::Device);
+    };
+    {
+      auto w = factory();
+      sim::Device dev(wc.gpu);
+      w->prepare(dev);
+      std::set<unsigned> footprints;
+      for (const isa::Program* p : w->programs())
+        footprints.insert(sim::register_footprint(*p));
+      ASSERT_GE(footprints.size(), 2u);
+      ASSERT_NE(auto_fork_epochs(w->fork_safe(),
+                                 w->golden_stats().lane_instructions, 20),
+                0u);
+    }
+    InjectionBudget budget;
+    budget.injections_per_kind = 3;
+    budget.rf_injections = 12;
+    budget.pred_injections = 4;
+    budget.ia_injections = 4;
+    budget.sched_injections = 6;
+    budget.scoreboard_injections = 12;
+    budget.cta_injections = 4;
+    budget.warp_control_injections = 6;
+
+    const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
+    ASSERT_GT(base.result.total_injections(), 0u) << name;
+    for (const unsigned epochs : {3u, 8u})
+      expect_same_trials(base,
+                         run(*inj, factory, budget, 2, Schedule::Dynamic, epochs));
+    expect_same_trials(base, run(*inj, factory, budget, 3, Schedule::Dynamic, 0,
+                                 {.auto_fork = true}));
+  }
+}
+
+TEST(ForkEquivalence, SnapshotsHoldOnlyTheRegisterFootprint) {
+  // Warp state in a snapshot is sized to the launch's register footprint,
+  // and Snapshot::bytes() counts it (with block shared memory) on top of the
+  // global-memory image. The campaign's pool gauge reports the same bytes.
+  auto inj = make_injector("NVBitFI");
+  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
+                          0x5eed, 0.05};
+  auto factory = [&] {
+    return std::make_unique<MxM>(wc, Precision::Single, 16);
+  };
+  auto w = factory();
+  sim::Device dev(wc.gpu);
+  w->prepare(dev);
+  const unsigned footprint = sim::register_footprint(*w->programs().at(0));
+  ASSERT_LT(footprint, 64u);
+  const std::uint64_t total = w->golden_stats().lane_instructions;
+  std::vector<sim::Snapshot> snaps;
+  w->capture_prefix(dev, {total / 2}, snaps);
+  ASSERT_EQ(snaps.size(), 1u);
+  const sim::Snapshot& snap = snaps[0];
+  EXPECT_EQ(snap.exec.regs, footprint);
+  ASSERT_FALSE(snap.exec.warps.empty());
+  std::uint64_t state = 0;
+  for (const sim::WarpSnap& ws : snap.exec.warps) {
+    EXPECT_EQ(ws.regs.size(), 32u * footprint);
+    EXPECT_EQ(ws.reg_ready.size(), footprint);
+    state += ws.regs.size() * 4 + ws.reg_ready.size() * 8;
+  }
+  for (const sim::BlockSnap& bs : snap.exec.blocks) state += bs.shared.size();
+  EXPECT_GE(snap.bytes(), snap.memory.size() + state);
+  // Per warp, no more than its footprint state plus fixed-size fields.
+  EXPECT_LT(snap.bytes(), snap.memory.size() + state +
+                              (snap.exec.warps.size() + snap.exec.blocks.size() +
+                               snap.exec.sms.size() + 1) * 1024);
+
+  obs::Gauge& pool =
+      obs::Registry::global().gauge("gpurel_campaign_snapshot_pool_bytes");
+  pool.set(0);
+  InjectionBudget budget;
+  budget.injections_per_kind = 6;
+  run(*inj, factory, budget, 2, Schedule::Dynamic, 1);  // marks {total / 2}
+  EXPECT_GE(pool.value(), static_cast<double>(snap.bytes()));
 }
 
 TEST(ForkEquivalence, DeltaRestoreMatchesFullRestore) {

@@ -5,10 +5,14 @@
 // underestimated) hold on a spot-checked code.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "core/report.hpp"
 #include "core/study.hpp"
+#include "obs/metrics.hpp"
 
 namespace gpurel::core {
 namespace {
@@ -26,6 +30,82 @@ StudyConfig tiny_config() {
   c.micro_scale = 0.1;
   c.seed = 77;
   return c;
+}
+
+// A Study whose campaigns never fork: auto-forking is an execution knob of
+// job::RunOptions, so turning it off must change neither a result nor a job
+// cache key.
+class NoForkStudy final : public Study {
+ public:
+  using Study::Study;
+
+ protected:
+  job::RunOptions run_options() const override {
+    job::RunOptions opts = Study::run_options();
+    opts.auto_fork = false;
+    return opts;
+  }
+};
+
+std::set<std::string> cache_entries(const std::filesystem::path& dir) {
+  std::set<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    names.insert(e.path().filename().string());
+  return names;
+}
+
+TEST(Study, AutoForkChangesNeitherReportsNorCacheKeys) {
+  // Stage 1 (micro campaigns), one fork-safe code (FMXM) and one that is
+  // not (QUICKSORT, host-stepped): the forking Study must take snapshots in
+  // stage 1 and for FMXM but none for QUICKSORT, and produce byte-identical
+  // reports and the same cache entries as a Study that never forks.
+  const std::filesystem::path root =
+      std::filesystem::path(testing::TempDir()) / "gpurel_study_auto_fork";
+  std::filesystem::remove_all(root);
+  StudyConfig forked_cfg = tiny_config();
+  forked_cfg.micro_beam_runs = 20;
+  forked_cfg.app_beam_runs = 20;
+  forked_cfg.injections_per_kind = 6;
+  forked_cfg.micro_injections_per_kind = 6;
+  forked_cfg.rf_injections = 6;
+  forked_cfg.store_value_injections = 4;
+  forked_cfg.store_addr_injections = 4;
+  forked_cfg.sched_injections = 4;
+  forked_cfg.scoreboard_injections = 4;
+  forked_cfg.cta_injections = 4;
+  forked_cfg.warp_control_injections = 4;
+  forked_cfg.app_scale = 0.2;
+  forked_cfg.workers = 2;
+  StudyConfig plain_cfg = forked_cfg;
+  forked_cfg.cache_dir = (root / "forked").string();
+  plain_cfg.cache_dir = (root / "plain").string();
+  Study forked(arch::GpuConfig::kepler_k40c(2), forked_cfg);
+  NoForkStudy plain(arch::GpuConfig::kepler_k40c(2), plain_cfg);
+
+  obs::Counter& snapshots =
+      obs::Registry::global().counter("gpurel_campaign_snapshots_total");
+  const std::uint64_t before_stage1 = snapshots.value();
+  forked.fit_inputs();
+  EXPECT_GT(snapshots.value(), before_stage1);
+  const std::uint64_t after_stage1 = snapshots.value();
+  plain.fit_inputs();
+  EXPECT_EQ(snapshots.value(), after_stage1);
+  for (const kernels::CatalogEntry& e :
+       {kernels::CatalogEntry{"MXM", Precision::Single},
+        kernels::CatalogEntry{"QUICKSORT", Precision::Int32}}) {
+    const std::uint64_t s0 = snapshots.value();
+    const std::string a = code_report_json(forked.evaluate(e)).dump();
+    const std::uint64_t s1 = snapshots.value();
+    const std::string b = code_report_json(plain.evaluate(e)).dump();
+    EXPECT_EQ(snapshots.value(), s1) << e.base;  // the plain Study never forks
+    if (e.base == "MXM") EXPECT_GT(s1, s0);
+    else EXPECT_EQ(s1, s0) << "QUICKSORT is not fork-safe";
+    EXPECT_EQ(a, b) << e.base;
+  }
+  const std::set<std::string> keys = cache_entries(root / "forked");
+  EXPECT_FALSE(keys.empty());
+  EXPECT_EQ(keys, cache_entries(root / "plain"));
+  std::filesystem::remove_all(root);
 }
 
 TEST(Study, MicrobenchmarksCoverEveryUnitTheModelNeeds) {
