@@ -1,23 +1,19 @@
-// bench_campaign_throughput: campaign-runtime scheduling benchmark.
+// bench_campaign_throughput: campaign-runtime throughput benchmark.
 //
-// Runs the same fault-injection campaign under the legacy static round-robin
-// sharding and the chunked dynamic scheduler, on two trial mixes:
+// Runs fault-injection campaigns on four trial mixes and reports wall-clock
+// trials/sec for each series:
 //
-//   balanced   IOV-only injections on MXM — every trial costs roughly the
-//              golden runtime, so any schedule balances well;
-//   due-heavy  instruction-address + store-address heavy injections on
-//              QUICKSORT — control-flow corruption in its data-dependent
-//              loops produces a heavy-tailed cost distribution (a fraction
-//              of trials burn the full watchdog budget, ~20x the median),
-//              the load profile that stalls static shards.
-//
-// For each (mix, schedule) it reports wall-clock trials/sec and, because
-// wall clock on a loaded/oversubscribed CI box is noisy, also a
-// deterministic *model makespan*: per-trial simulated-cycle costs (identical
-// across schedules — results are bit-identical) replayed through each
-// scheduling policy. `model_x` is the modeled speedup of the dynamic
-// scheduler over static sharding at the requested worker count; it is the
-// scheduling-limited bound a parallel host converges to.
+//   balanced     IOV-only injections on MXM — every trial costs roughly the
+//                golden runtime;
+//   due-heavy    instruction-address + store-address heavy injections on
+//                QUICKSORT — control-flow corruption in its data-dependent
+//                loops produces a heavy-tailed cost distribution (a fraction
+//                of trials burn the full watchdog budget, ~20x the median),
+//                the load profile guided dynamic chunks exist for;
+//   fork-heavy   an IA-skewed mix on fork-safe MXM, plain vs forked
+//                (checkpoint-fork batching with delta restores);
+//   graph-heavy  the device-stepped BFS-DEV/CCL-DEV/QUICKSORT-DEV, plain vs
+//                forked.
 //
 //   ./bench_campaign_throughput --workers=4 --ia=160 --injections=40
 //   GPUREL_TELEMETRY=out.jsonl ./bench_campaign_throughput --progress
@@ -28,7 +24,6 @@
 
 #include "bench_common.hpp"
 #include "common/telemetry.hpp"
-#include "common/thread_pool.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "kernels/registry.hpp"
@@ -45,38 +40,6 @@ struct Mix {
   fault::CampaignConfig config;
 };
 
-/// Replay per-trial costs through static round-robin sharding: the makespan
-/// is the heaviest shard.
-std::uint64_t static_makespan(const std::vector<std::uint64_t>& cost,
-                              unsigned workers) {
-  std::uint64_t worst = 0;
-  for (unsigned s = 0; s < workers; ++s) {
-    std::uint64_t shard = 0;
-    for (std::size_t t = s; t < cost.size(); t += workers) shard += cost[t];
-    worst = std::max(worst, shard);
-  }
-  return worst;
-}
-
-/// Replay per-trial costs through chunked dynamic self-scheduling: each free
-/// worker pulls the next chunk (guided_chunk sizes when chunk == 0, exactly
-/// like parallel_chunks); the makespan is the last worker to finish.
-std::uint64_t dynamic_makespan(const std::vector<std::uint64_t>& cost,
-                               unsigned workers, std::size_t chunk) {
-  std::vector<std::uint64_t> busy_until(workers, 0);
-  for (std::size_t begin = 0; begin < cost.size();) {
-    const std::size_t size =
-        chunk > 0 ? chunk : guided_chunk(cost.size() - begin, workers);
-    const std::size_t end = std::min(cost.size(), begin + size);
-    std::uint64_t chunk_cost = 0;
-    for (std::size_t t = begin; t < end; ++t) chunk_cost += cost[t];
-    auto next = std::min_element(busy_until.begin(), busy_until.end());
-    *next += chunk_cost;
-    begin = end;
-  }
-  return *std::max_element(busy_until.begin(), busy_until.end());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,7 +50,6 @@ int main(int argc, char** argv) {
       cli.get_int_env("injections", "GPUREL_INJECTIONS", 16));
   const unsigned ia = static_cast<unsigned>(cli.get_int("ia", 4 * iov));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  const unsigned chunk_flag = static_cast<unsigned>(cli.get_int("chunk", 0));
   const double scale = cli.get_double("scale", 0.05);
   const bool csv = cli.get_bool("csv");
   const bool progress = cli.get_bool_env("progress", "GPUREL_PROGRESS", false);
@@ -101,7 +63,6 @@ int main(int argc, char** argv) {
 
   fault::CampaignConfig base;
   base.injections_per_kind = iov;
-  base.chunk = chunk_flag;
   base.seed = seed;
   base.workers = workers;
   base.progress = progress;
@@ -118,81 +79,53 @@ int main(int argc, char** argv) {
     mixes.push_back(heavy);
   }
 
-  Table table({"mix", "schedule", "trials", "wall_ms", "trials/s",
-               "model_Mcyc", "model_x"});
+  Table table({"mix", "series", "trials", "wall_ms", "trials/s"});
   table.set_align(1, Align::Left);
+  auto& metrics = obs::Registry::global();
+  // One table row, two gauges and one bench-JSON entry per measured series.
+  auto record = [&](const std::string& mix, const std::string& series,
+                    std::uint64_t trials, double ms) {
+    const double tps =
+        ms > 0 ? 1000.0 * static_cast<double>(trials) / ms : 0.0;
+    const obs::Labels labels{{"bench", "campaign_throughput"},
+                             {"mix", mix},
+                             {"series", series}};
+    metrics.gauge("gpurel_bench_wall_ms", labels).set(ms);
+    metrics.gauge("gpurel_bench_trials_per_sec", labels).set(tps);
+    json_entries.emplace_back("campaign/" + mix + "/" + series + ".trials_per_s",
+                              tps);
+    table.row()
+        .cell(mix)
+        .cell(series)
+        .cell_int(static_cast<long long>(trials))
+        .cell(ms, 1)
+        .cell(tps, 1);
+    return tps;
+  };
 
   for (const Mix& mix : mixes) {
     const auto factory =
         kernels::workload_factory(mix.code, core::Precision::Single, wc);
-    // One fault-free counting pass per mix, shared by both schedule runs
-    // (identical trial sets either way -- the counts are schedule-invariant).
+    // Counted outside the timed run, so trials/s measures trials only.
     const fault::SiteCounts sites = fault::count_sites(*injector, factory);
-    std::vector<std::uint64_t> cost;
-    fault::CampaignResult reference;
-    double speedup_model = 0.0;
-    for (const bool dynamic : {false, true}) {
-      fault::CampaignConfig cc = mix.config;
-      cc.schedule = dynamic ? fault::Schedule::Dynamic
-                            : fault::Schedule::StaticRoundRobin;
-      cc.sites = &sites;
-      cc.trial_cycles_out = &cost;
-      cc.trace = exporter.trace();
-      telemetry::Timer wall;
-      const auto result = fault::run_campaign(*injector, factory, cc);
-      const double ms = wall.elapsed_ms();
-      const obs::Labels labels{{"bench", "campaign_throughput"},
-                               {"mix", mix.name},
-                               {"schedule", dynamic ? "dynamic" : "static"}};
-      auto& metrics = obs::Registry::global();
-      const double tps =
-          ms > 0 ? 1000.0 * static_cast<double>(cost.size()) / ms : 0.0;
-      metrics.gauge("gpurel_bench_wall_ms", labels).set(ms);
-      metrics.gauge("gpurel_bench_trials_per_sec", labels).set(tps);
-      json_entries.emplace_back("campaign/" + mix.name + "/" +
-                                    (dynamic ? "dynamic" : "static") +
-                                    ".trials_per_s",
-                                tps);
-
-      if (!dynamic) {
-        reference = result;
-      } else if (result.total_injections() != reference.total_injections() ||
-                 result.overall_avf_sdc() != reference.overall_avf_sdc() ||
-                 result.overall_avf_due() != reference.overall_avf_due()) {
-        std::fprintf(stderr, "FATAL: schedules disagree on %s\n",
-                     mix.name.c_str());
-        return 1;
-      }
-
-      const std::uint64_t makespan =
-          dynamic ? dynamic_makespan(cost, workers, cc.chunk)
-                  : static_makespan(cost, workers);
-      if (dynamic)
-        speedup_model = static_cast<double>(static_makespan(cost, workers)) /
-                        static_cast<double>(std::max<std::uint64_t>(1, makespan));
-
-      table.row()
-          .cell(mix.name)
-          .cell(dynamic ? "dynamic" : "static")
-          .cell_int(static_cast<long long>(cost.size()))
-          .cell(ms, 1)
-          .cell(ms > 0 ? 1000.0 * static_cast<double>(cost.size()) / ms : 0.0, 1)
-          .cell(static_cast<double>(makespan) / 1e6, 2)
-          .cell(dynamic ? speedup_model : 1.0, 2);
-    }
+    fault::CampaignConfig cc = mix.config;
+    cc.sites = &sites;
+    cc.trace = exporter.trace();
+    telemetry::Timer wall;
+    const auto result = fault::run_campaign(*injector, factory, cc);
+    record(mix.name, "dynamic", result.total_injections(), wall.elapsed_ms());
   }
+
+  const unsigned fork_epochs =
+      std::max<unsigned>(1, static_cast<unsigned>(cli.get_int("fork-epochs", 8)));
 
   // Checkpoint-fork batching: the same injection-heavy profile as due-heavy,
   // but on MXM, which is fork-safe (host-stepped QUICKSORT reads host state
-  // mid-trial and falls back to plain execution). Three series: plain
-  // execution, forked with full-image restores (the PR 6 shape), and forked
-  // with delta (dirty-tracking) restores plus the shared snapshot pool.
-  // Results are bit-identical across all three; only wall-clock moves.
+  // mid-trial and falls back to plain execution). Two series: plain
+  // execution and forked (shared snapshot pool, delta restores). Results
+  // are bit-identical across both; only wall-clock moves.
   {
-    const unsigned fork_epochs =
-        std::max<unsigned>(1, static_cast<unsigned>(cli.get_int("fork-epochs", 8)));
     fault::CampaignConfig fc = base;
-    fc.schedule = fault::Schedule::Dynamic;
     fc.injections_per_kind = std::max(1u, iov / 4);
     // IA-skewed: instruction-address trials usually DUE at the fault itself,
     // so a plain run pays the whole prefix for nothing while a forked run
@@ -204,48 +137,27 @@ int main(int argc, char** argv) {
         kernels::workload_factory("MXM", core::Precision::Single, wc);
     fault::CampaignResult reference;
     double plain_tps = 0.0;
-    for (const std::string mode : {"plain", "forked", "delta"}) {
+    for (const bool forked : {false, true}) {
       fault::CampaignConfig cc = fc;
-      cc.fork_epochs = mode == "plain" ? 0 : fork_epochs;
-      cc.fork_delta = mode == "delta";
-      std::vector<std::uint64_t> cost;
-      cc.trial_cycles_out = &cost;
+      cc.fork_epochs = forked ? fork_epochs : 0;
       cc.trace = exporter.trace();
       telemetry::Timer wall;
       const auto result = fault::run_campaign(*injector, factory, cc);
-      const double ms = wall.elapsed_ms();
-      const double tps =
-          ms > 0 ? 1000.0 * static_cast<double>(cost.size()) / ms : 0.0;
-      const obs::Labels labels{{"bench", "campaign_throughput"},
-                               {"mix", "fork-heavy"},
-                               {"schedule", mode}};
-      auto& metrics = obs::Registry::global();
-      metrics.gauge("gpurel_bench_wall_ms", labels).set(ms);
-      metrics.gauge("gpurel_bench_trials_per_sec", labels).set(tps);
-      json_entries.emplace_back(
-          std::string("campaign/fork-heavy/") + mode + ".trials_per_s", tps);
-      if (mode == "plain") {
+      const double tps = record("fork-heavy", forked ? "forked" : "plain",
+                                result.total_injections(), wall.elapsed_ms());
+      if (!forked) {
         reference = result;
         plain_tps = tps;
-      } else {
-        if (result.total_injections() != reference.total_injections() ||
-            result.overall_avf_sdc() != reference.overall_avf_sdc() ||
-            result.overall_avf_due() != reference.overall_avf_due()) {
-          std::fprintf(stderr, "FATAL: fork batching changed fork-heavy results\n");
-          return 1;
-        }
-        json_entries.emplace_back(
-            "campaign/fork-heavy/" + mode + ".speedup_x",
-            plain_tps > 0 ? tps / plain_tps : 0.0);
+        continue;
       }
-      table.row()
-          .cell("fork-heavy")
-          .cell(mode)
-          .cell_int(static_cast<long long>(cost.size()))
-          .cell(ms, 1)
-          .cell(tps, 1)
-          .cell(0.0, 2)
-          .cell(mode != "plain" && plain_tps > 0 ? tps / plain_tps : 1.0, 2);
+      if (result.total_injections() != reference.total_injections() ||
+          result.overall_avf_sdc() != reference.overall_avf_sdc() ||
+          result.overall_avf_due() != reference.overall_avf_due()) {
+        std::fprintf(stderr, "FATAL: fork batching changed fork-heavy results\n");
+        return 1;
+      }
+      json_entries.emplace_back("campaign/fork-heavy/forked.speedup_x",
+                                plain_tps > 0 ? tps / plain_tps : 0.0);
     }
   }
 
@@ -256,13 +168,10 @@ int main(int argc, char** argv) {
   // trials and wall time accumulate per series and the reported trials/s is
   // the aggregate over every workload and round.
   {
-    const unsigned fork_epochs =
-        std::max<unsigned>(1, static_cast<unsigned>(cli.get_int("fork-epochs", 8)));
     const unsigned reps =
         std::max<unsigned>(1, static_cast<unsigned>(cli.get_int("reps", 3)));
     const std::vector<std::string> codes{"BFS-DEV", "CCL-DEV", "QUICKSORT-DEV"};
     fault::CampaignConfig gc = base;
-    gc.schedule = fault::Schedule::Dynamic;
     gc.injections_per_kind = std::max(1u, iov / 4);
     gc.ia_injections = ia;
     gc.rf_injections = ia / 2;
@@ -285,14 +194,12 @@ int main(int argc, char** argv) {
           fault::CampaignConfig cc = gc;
           cc.fork_epochs = forked ? fork_epochs : 0;
           cc.sites = &site_counts[i];
-          std::vector<std::uint64_t> cost;
-          cc.trial_cycles_out = &cost;
           cc.trace = exporter.trace();
           telemetry::Timer wall;
           const auto result = fault::run_campaign(*injector, factories[i], cc);
           const std::size_t k = forked ? 1 : 0;
           wall_ms[k] += wall.elapsed_ms();
-          trials[k] += cost.size();
+          trials[k] += result.total_injections();
           if (rep == 0 && !forked) {
             references[i] = result;
           } else if (result.total_injections() !=
@@ -308,40 +215,17 @@ int main(int argc, char** argv) {
         }
       }
     }
-    auto& metrics = obs::Registry::global();
-    double tps[2] = {0.0, 0.0};
-    for (const bool forked : {false, true}) {
-      const std::size_t k = forked ? 1 : 0;
-      tps[k] = wall_ms[k] > 0
-                   ? 1000.0 * static_cast<double>(trials[k]) / wall_ms[k]
-                   : 0.0;
-      const obs::Labels labels{{"bench", "campaign_throughput"},
-                               {"mix", "graph-heavy"},
-                               {"schedule", forked ? "forked" : "plain"}};
-      metrics.gauge("gpurel_bench_wall_ms", labels).set(wall_ms[k]);
-      metrics.gauge("gpurel_bench_trials_per_sec", labels).set(tps[k]);
-      json_entries.emplace_back(std::string("campaign/graph-heavy/") +
-                                    (forked ? "forked" : "plain") +
-                                    ".trials_per_s",
-                                tps[k]);
-      table.row()
-          .cell("graph-heavy")
-          .cell(forked ? "forked" : "plain")
-          .cell_int(static_cast<long long>(trials[k]))
-          .cell(wall_ms[k], 1)
-          .cell(tps[k], 1)
-          .cell(0.0, 2)
-          .cell(forked && tps[0] > 0 ? tps[1] / tps[0] : 1.0, 2);
-    }
+    const double plain_tps = record("graph-heavy", "plain", trials[0], wall_ms[0]);
+    const double forked_tps =
+        record("graph-heavy", "forked", trials[1], wall_ms[1]);
     json_entries.emplace_back("campaign/graph-heavy/forked.speedup_x",
-                              tps[0] > 0 ? tps[1] / tps[0] : 0.0);
+                              plain_tps > 0 ? forked_tps / plain_tps : 0.0);
   }
 
   if (csv) std::fputs(table.to_csv().c_str(), stdout);
   else std::fputs(table.to_text().c_str(), stdout);
   std::fputc('\n', stdout);
-  std::printf("workers=%u; model_x = modeled dynamic-vs-static speedup from "
-              "per-trial simulated cycles\n", workers);
+  std::printf("workers=%u\n", workers);
   bench::write_bench_json(bench_json, json_entries);
   return 0;
 }

@@ -5,13 +5,14 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/study.hpp"
 #include "obs/export.hpp"
@@ -70,43 +71,21 @@ inline void emit(const Table& t, bool csv) {
 }
 
 /// Flat "metric name -> value" JSON snapshot (the BENCH_simspeed.json
-/// format). Merges with an existing snapshot written by this same helper —
-/// keys not in `entries` survive — so bench_simspeed and
-/// bench_campaign_throughput can accumulate into one file. No-op when
-/// `path` is empty.
+/// format). Merges into an existing snapshot at `path` — keys not in
+/// `entries` survive — so bench_simspeed and bench_campaign_throughput can
+/// accumulate into one file. No-op when `path` is empty.
 inline void write_bench_json(
     const std::string& path,
     const std::vector<std::pair<std::string, double>>& entries) {
   if (path.empty()) return;
-  std::map<std::string, double> merged;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) {
-      const auto q0 = line.find('"');
-      if (q0 == std::string::npos) continue;
-      const auto q1 = line.find('"', q0 + 1);
-      const auto colon = q1 == std::string::npos ? q1 : line.find(':', q1);
-      if (colon == std::string::npos) continue;
-      try {
-        merged[line.substr(q0 + 1, q1 - q0 - 1)] =
-            std::stod(line.substr(colon + 1));
-      } catch (...) {
-        // not a "key": value line (braces etc.) -- skip
-      }
-    }
+  json::Value doc = json::Value::object();
+  if (std::ifstream in(path); in) {
+    std::stringstream text;
+    text << in.rdbuf();
+    doc = json::Value::parse(text.str());
   }
-  for (const auto& [k, v] : entries) merged[k] = v;
-  std::ofstream out(path, std::ios::trunc);
-  out << "{\n";
-  std::size_t i = 0;
-  for (const auto& [k, v] : merged) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out << "  \"" << k << "\": " << buf
-        << (++i < merged.size() ? ",\n" : "\n");
-  }
-  out << "}\n";
+  for (const auto& [k, v] : entries) doc.set(k, v);
+  std::ofstream(path, std::ios::trunc) << doc.dump() << '\n';
 }
 
 }  // namespace gpurel::bench

@@ -7,9 +7,8 @@
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
-#include "common/thread_pool.hpp"
+#include "fault/trial_engine.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/instr_info.hpp"
 #include "sim/timing.hpp"
 
@@ -340,10 +339,11 @@ ExposureBreakdown compute_exposure(const core::Workload& w,
 
 BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& factory,
                     const BeamConfig& config) {
-  auto ref = factory();
-  sim::Device ref_dev(ref->config().gpu);
-  ref->prepare(ref_dev);
-  const std::uint64_t allocated_bits = ref_dev.memory().allocated_bits();
+  fault::TrialEngine engine("beam", "runs", factory, config.workers,
+                            config.context());
+  const core::Workload* const ref = engine.reference().w.get();
+  const std::uint64_t allocated_bits =
+      engine.reference().dev->memory().allocated_bits();
   const ExposureBreakdown exposure = compute_exposure(*ref, allocated_bits);
   const Weights weights = compute_weights(db, exposure);
   const double total_weight = weights.total();
@@ -361,14 +361,8 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
   // below and then owns the runs r with r % shard_count == shard_index. The
   // result reports the owned subset; BeamResult::merge over all shards
   // reproduces the unsharded experiment bit for bit.
-  if (config.shard_count == 0 || config.shard_index >= config.shard_count)
-    throw std::invalid_argument(
-        "run_beam: shard_index must be < shard_count (>= 1)");
-  std::vector<std::size_t> owned;
-  owned.reserve(config.runs / config.shard_count + 1);
-  for (std::size_t r = config.shard_index; r < config.runs;
-       r += config.shard_count)
-    owned.push_back(r);
+  const std::vector<std::size_t> owned =
+      engine.shard(config.runs, config.shard_index, config.shard_count);
   result.runs = owned.size();
 
   // Flat sampling vector: all unit kinds, then RF, SH, GL, Hidden.
@@ -393,25 +387,17 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
       share(StrikeTarget::Hidden, weights.hidden);
     }
   }
-  telemetry::Sink* sink = telemetry::resolve(config.telemetry);
-  obs::TraceWriter* trace = obs::resolve_trace(config.trace);
-  if (trace != nullptr)
-    trace->name_process(obs::kWallPid, "gpurel runtime (wall clock)");
+  telemetry::Sink* sink = config.resolved_sink();
   auto& metrics = obs::Registry::global();
   obs::Counter& m_runs = metrics.counter("gpurel_beam_runs_total");
   obs::Histogram& m_latency = metrics.histogram("gpurel_beam_run_latency_ms");
   telemetry::Timer wall;
-  const unsigned workers = std::max(1u, config.workers);
-  const bool dynamic = config.schedule == fault::Schedule::Dynamic;
-  const std::size_t chunk = config.chunk;  // 0 = guided (see guided_chunk)
   if (sink != nullptr)
     sink->emit("beam_start",
                {{"workload", result.workload},
                 {"device", result.device},
                 {"runs", std::uint64_t{owned.size()}},
-                {"workers", workers},
-                {"chunk", dynamic ? chunk : std::size_t{0}},
-                {"schedule", dynamic ? "dynamic" : "static"},
+                {"workers", engine.workers().size()},
                 {"mode", config.mode == BeamMode::Accelerated ? "accelerated"
                                                               : "natural"},
                 {"ecc", config.ecc},
@@ -497,34 +483,12 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
   }
 
   // Per-run records, tallied serially afterwards (bit-identical results for
-  // any worker count / chunk size / schedule).
+  // any worker count).
   std::vector<core::Outcome> outcomes(config.runs, core::Outcome::Masked);
   std::vector<std::uint8_t> run_target(config.runs,
                                        static_cast<std::uint8_t>(kTargets));
 
-  // Each worker lazily prepares one workload instance and reuses it across
-  // all runs it pulls; worker 0 inherits the reference instance.
-  struct WorkerState {
-    std::unique_ptr<core::Workload> w;
-    std::unique_ptr<sim::Device> dev;
-    unsigned max_regs = 0;
-  };
-  std::vector<WorkerState> states(workers);
-  states[0].w = std::move(ref);
-  states[0].dev = std::make_unique<sim::Device>(states[0].w->config().gpu);
-  states[0].max_regs = states[0].w->max_regs_per_thread();
-  auto ensure_state = [&](std::size_t s) -> WorkerState& {
-    WorkerState& st = states[s];
-    if (!st.w) {
-      st.w = factory();
-      st.dev = std::make_unique<sim::Device>(st.w->config().gpu);
-      st.w->prepare(*st.dev);
-      st.max_regs = st.w->max_regs_per_thread();
-    }
-    return st;
-  };
-
-  auto run_one = [&](WorkerState& st, std::size_t r) {
+  auto run_one = [&](fault::TrialWorker& st, std::size_t r) {
     const telemetry::Timer run_wall;
     Rng rng(seeds[r]);
     if (config.mode == BeamMode::Accelerated) {
@@ -565,67 +529,12 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
     m_runs.add();
   };
 
-  telemetry::Progress progress(config.progress, "beam " + result.workload,
-                               owned.size());
-  telemetry::Counter done;
-  auto after_chunk = [&](std::size_t begin, std::size_t end) {
-    done.add(end - begin);
-    progress.tick(end - begin);
-    if (sink != nullptr)
-      sink->emit("beam_chunk", {{"begin", begin},
-                                {"end", end},
-                                {"done", done.value()},
-                                {"total", std::uint64_t{owned.size()}}});
-  };
-  auto emit_chunk_span = [&](std::size_t worker, double t0, std::size_t begin,
-                             std::size_t n) {
-    if (trace == nullptr) return;
-    trace->name_thread(obs::kWallPid, static_cast<int>(worker),
-                       "worker " + std::to_string(worker));
-    trace->complete("beam " + result.workload, "beam", obs::kWallPid,
-                    static_cast<int>(worker), t0, trace->now_us() - t0,
-                    {{"begin", begin}, {"runs", n}});
-  };
-  // Ranges handed to the schedulers are *positions* in the owned order
-  // (dense [0, owned.size())); run_one maps them back to global run ids.
-  auto run_range = [&](std::size_t worker, std::size_t begin, std::size_t end) {
-    WorkerState& st = ensure_state(worker);
-    const double t0 = trace != nullptr ? trace->now_us() : 0.0;
-    for (std::size_t p = begin; p < end; ++p) run_one(st, owned[p]);
-    emit_chunk_span(worker, t0, begin, end - begin);
-    after_chunk(begin, end);
-  };
-
-  if (!dynamic) {
-    auto run_shard = [&](std::size_t shard) {
-      WorkerState& st = ensure_state(shard);
-      const double t0 = trace != nullptr ? trace->now_us() : 0.0;
-      std::size_t n = 0;
-      for (std::size_t p = shard; p < owned.size(); p += workers, ++n)
-        run_one(st, owned[p]);
-      if (n > 0) {
-        emit_chunk_span(shard, t0, shard, n);
-        after_chunk(shard, shard + n);  // one completion per shard
-      }
-    };
-    if (workers == 1) {
-      run_shard(0);
-    } else {
-      ThreadPool pool(workers);
-      parallel_for(pool, workers, run_shard);
-    }
-  } else if (workers == 1) {
-    for (std::size_t begin = 0; begin < owned.size();) {
-      const std::size_t step =
-          chunk > 0 ? chunk : guided_chunk(owned.size() - begin, 1);
-      const std::size_t end = std::min(owned.size(), begin + step);
-      run_range(0, begin, end);
-      begin = end;
-    }
-  } else {
-    ThreadPool pool(workers);
-    parallel_chunks(pool, owned.size(), chunk, run_range);
-  }
+  // Chunks are *positions* in the owned order (dense [0, owned.size()));
+  // run_one maps them back to global run ids.
+  engine.run(owned.size(),
+             [&](fault::TrialWorker& st, std::size_t begin, std::size_t end) {
+               for (std::size_t p = begin; p < end; ++p) run_one(st, owned[p]);
+             });
 
   for (const std::size_t r : owned) {
     result.outcomes.add(outcomes[r]);

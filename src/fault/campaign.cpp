@@ -11,10 +11,9 @@
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
-#include "common/thread_pool.hpp"
 #include "fault/microarch.hpp"
+#include "fault/trial_engine.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/instr_info.hpp"
 
 namespace gpurel::fault {
@@ -499,21 +498,18 @@ void CampaignResult::merge(const CampaignResult& other) {
 }
 
 SiteCounts count_sites(const Injector& injector, const WorkloadFactory& factory) {
-  auto w = factory();
-  if (!w) throw std::invalid_argument("count_sites: factory returned null");
-  sim::Device dev(w->config().gpu);
-  w->prepare(dev);
-  check_instrumentable(injector, *w);
-  return count_prepared(injector, *w, dev);
+  TrialWorker st = prepare_worker(factory, "count_sites");
+  check_instrumentable(injector, *st.w);
+  return count_prepared(injector, *st.w, *st.dev);
 }
 
 CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& factory,
                             const CampaignConfig& config) {
-  // Reference instance: prepare, check instrumentability.
-  auto ref = factory();
-  if (!ref) throw std::invalid_argument("run_campaign: factory returned null");
-  auto ref_dev = std::make_unique<sim::Device>(ref->config().gpu);
-  ref->prepare(*ref_dev);
+  // Reference instance (worker 0's): prepare, check instrumentability.
+  TrialEngine engine("campaign", "trials", factory, config.workers,
+                     config.context());
+  core::Workload* const ref = engine.reference().w.get();
+  sim::Device* const ref_dev = engine.reference().dev.get();
   check_instrumentable(injector, *ref);
 
   // Plan-time validation: RegisterFile trials flip one bit of a register
@@ -634,20 +630,11 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   // and then owns trials t with t % shard_count == shard_index. Outcome
   // tallies cover only owned trials (site counts are per-campaign constants
   // reported in full), so merging all shards reproduces the unsharded run.
-  if (config.shard_count == 0 || config.shard_index >= config.shard_count)
-    throw std::invalid_argument(
-        "run_campaign: shard_index must be < shard_count (>= 1)");
-  std::vector<std::size_t> owned;
-  owned.reserve(trials.size() / config.shard_count + 1);
-  for (std::size_t t = config.shard_index; t < trials.size();
-       t += config.shard_count)
-    owned.push_back(t);
+  const std::vector<std::size_t> owned =
+      engine.shard(trials.size(), config.shard_index, config.shard_count);
 
   const bool checkpointing =
       config.checkpoint_every > 0 && static_cast<bool>(config.on_checkpoint);
-  if (checkpointing && config.schedule != Schedule::Dynamic)
-    throw std::invalid_argument(
-        "run_campaign: checkpointing requires Schedule::Dynamic");
   if (config.resume != nullptr && config.resume->trials_done > owned.size())
     throw std::invalid_argument(
         "run_campaign: checkpoint covers more trials than this shard owns");
@@ -658,26 +645,17 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
         "(the skipped prefix has no per-trial records)");
   // Positions [0, skip) of the owned order are already accounted for by the
   // resume checkpoint; this process executes positions [skip, owned.size()),
-  // remapped below to start at 0 so the schedulers see a dense range.
+  // remapped below to start at 0 so the engine sees a dense range.
   const std::size_t skip = config.resume != nullptr
                                ? static_cast<std::size_t>(config.resume->trials_done)
                                : 0;
   const std::size_t todo = owned.size() - skip;
 
-  // Execute trials. Each worker lazily prepares one workload instance and
-  // reuses it across every trial it pulls (prepare() is idempotent and
-  // run_trial() resets device memory); worker 0 inherits the already
-  // prepared reference instance. Per-trial outcomes land in a vector indexed
-  // by trial id and are tallied serially afterwards, so the result is
-  // bit-identical for any worker count, chunk size, or schedule.
-  const unsigned workers = std::max(1u, config.workers);
-  const std::size_t chunk = config.chunk;  // 0 = guided (see guided_chunk)
+  // Per-trial outcomes land in a vector indexed by trial id and are tallied
+  // serially afterwards, so the result is bit-identical for any worker count.
   const unsigned pc_bits = ia_pc_bits(*ref);
 
-  telemetry::Sink* sink = telemetry::resolve(config.telemetry);
-  obs::TraceWriter* trace = obs::resolve_trace(config.trace);
-  if (trace != nullptr)
-    trace->name_process(obs::kWallPid, "gpurel runtime (wall clock)");
+  telemetry::Sink* sink = config.resolved_sink();
   auto& metrics = obs::Registry::global();
   obs::Counter& m_trials = metrics.counter("gpurel_campaign_trials_total");
   obs::Histogram& m_latency =
@@ -685,22 +663,17 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   obs::Counter& m_restore_bytes =
       metrics.counter("gpurel_campaign_snapshot_restore_bytes_total");
   telemetry::Timer wall;
-  const bool dynamic = config.schedule == Schedule::Dynamic;
   if (sink != nullptr)
     sink->emit("campaign_start",
                {{"injector", result.injector},
                 {"workload", result.workload},
                 {"trials", todo},
-                {"workers", workers},
-                {"chunk", dynamic ? chunk : std::size_t{0}},
-                {"schedule", dynamic ? "dynamic" : "static"},
+                {"workers", engine.workers().size()},
                 {"ia_pc_bits", pc_bits},
                 {"shard_index", config.shard_index},
                 {"shard_count", config.shard_count},
                 {"resumed_trials", std::uint64_t{skip}},
-                {"fork_epochs", forking ? marks.size() : std::size_t{0}},
-                {"fork_delta", forking && config.fork_delta},
-                {"fork_shared_pool", forking && config.fork_shared_pool}});
+                {"fork_epochs", forking ? marks.size() : std::size_t{0}}});
   if (sink != nullptr)
     for (std::size_t m = 0; m < zero_site_class.size(); ++m)
       if (zero_site_class[m])
@@ -710,9 +683,6 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
                     {"model",
                      std::string(site_class_name(static_cast<SiteClass>(m)))},
                     {"resolution", "masked"}});
-  telemetry::Progress progress(config.progress, "campaign " + result.workload,
-                               todo);
-  telemetry::Counter done;
 
   // Per-trial records stay indexed by the *global* trial id (sparse under
   // sharding) so trial_cycles_out keeps its documented indexing.
@@ -750,11 +720,11 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
     }
   };
 
-  // Checkpoint bookkeeping: chunks complete out of order under dynamic
-  // scheduling, so completed position ranges are coalesced into a contiguous
-  // frontier and a checkpoint covers exactly the frontier prefix. `result`
-  // still holds only the per-campaign header here (tallies happen after the
-  // run), so it doubles as the blank checkpoint base.
+  // Checkpoint bookkeeping: chunks complete out of order, so completed
+  // position ranges are coalesced into a contiguous frontier and a
+  // checkpoint covers exactly the frontier prefix. `result` still holds only
+  // the per-campaign header here (tallies happen after the run), so it
+  // doubles as the blank checkpoint base.
   std::mutex ck_mu;
   std::map<std::size_t, std::size_t> ck_ranges;  // completed [begin, end)
   std::size_t ck_frontier = 0;
@@ -777,58 +747,6 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
     tally_positions(ck.partial, 0, ck_frontier);
     ck_emitted_at = done_abs;
     config.on_checkpoint(ck);
-  };
-
-  struct WorkerState {
-    std::unique_ptr<core::Workload> w;
-    std::unique_ptr<sim::Device> dev;
-    unsigned max_regs = 0;
-    // Fork batching: the snapshot set this worker's forked trials resume
-    // from — the campaign-wide shared set (captured once, before workers
-    // start) or this worker's own lazily captured copy when
-    // fork_shared_pool is off. Snapshots are immutable after capture, so
-    // read-only sharing across workers needs no synchronisation.
-    const std::vector<sim::Snapshot>* snap_set = nullptr;
-    std::vector<sim::Snapshot> own_snaps;
-  };
-  std::vector<WorkerState> states(workers);
-  states[0].w = std::move(ref);
-  states[0].dev = std::move(ref_dev);
-  states[0].max_regs = states[0].w->max_regs_per_thread();
-
-  auto ensure_state = [&](std::size_t s) -> WorkerState& {
-    WorkerState& st = states[s];
-    if (!st.w) {
-      st.w = factory();
-      st.dev = std::make_unique<sim::Device>(st.w->config().gpu);
-      st.w->prepare(*st.dev);
-      st.max_regs = st.w->max_regs_per_thread();
-    }
-    return st;
-  };
-
-  // One capture pass = one event; the ci.sh warm-shared-pool leg asserts
-  // exactly one of these per campaign regardless of worker count.
-  auto note_capture = [&](const std::vector<sim::Snapshot>& snaps,
-                          bool shared) {
-    std::uint64_t bytes = 0;
-    for (const sim::Snapshot& s : snaps) bytes += s.bytes();
-    metrics.counter("gpurel_campaign_snapshots_total").add(snaps.size());
-    if (sink != nullptr)
-      sink->emit("campaign_snapshot_capture", {{"workload", result.workload},
-                                               {"epochs", snaps.size()},
-                                               {"image_bytes", bytes},
-                                               {"shared", shared}});
-  };
-
-  auto ensure_snaps = [&](WorkerState& st) {
-    if (st.snap_set != nullptr) return;
-    // Legacy per-worker pool (fork_shared_pool off): capture lazily on the
-    // worker's first forked trial. The shared path assigns snap_set before
-    // workers are dispatched, so it never reaches the capture here.
-    st.w->capture_prefix(*st.dev, marks, st.own_snaps);
-    st.snap_set = &st.own_snaps;
-    note_capture(st.own_snaps, /*shared=*/false);
   };
 
   // Per-trial fault sampling, shared verbatim by the execution path and the
@@ -878,7 +796,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
     for (const std::size_t t : owned) {
       const TrialDesc& d = trials[t];
       if (zero_site_class[static_cast<std::size_t>(d.cls)]) continue;
-      const TrialSample s = sample_trial(d, states[0].max_regs);
+      const TrialSample s = sample_trial(d, engine.reference().max_regs);
       int e = -1;
       if (is_microarch(d.cls)) {
         while (e + 1 < static_cast<int>(epochs.size()) &&
@@ -896,23 +814,27 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   }
 
   // Shared snapshot pool: capture the fault-free prefix ONCE, on the
-  // reference instance, and hand every worker the same immutable snapshot
-  // vector — eliminating the W-1 redundant prefix simulations of the lazy
-  // per-worker path. Captured eagerly (before dispatch) so no worker races
-  // the capture; skipped when no executed trial actually forks.
-  std::vector<sim::Snapshot> shared_snaps;
-  bool shared_pool = false;
-  if (forking && config.fork_shared_pool) {
-    for (std::size_t p = skip; p < owned.size() && !shared_pool; ++p)
-      shared_pool = trial_epoch[owned[p]] >= 0;
-    if (shared_pool) {
-      states[0].w->capture_prefix(*states[0].dev, marks, shared_snaps);
-      for (auto& st : states) st.snap_set = &shared_snaps;
-      note_capture(shared_snaps, /*shared=*/true);
-    }
+  // reference instance, before dispatch, and let every worker restore from
+  // the same immutable snapshot vector (read-only sharing needs no
+  // synchronisation). Skipped when no executed trial actually forks. One
+  // capture pass = one event; the ci.sh fork leg asserts exactly one per
+  // campaign regardless of worker count.
+  std::vector<sim::Snapshot> snaps;
+  if (forking &&
+      std::any_of(owned.begin() + static_cast<std::ptrdiff_t>(skip),
+                  owned.end(),
+                  [&](std::size_t t) { return trial_epoch[t] >= 0; })) {
+    ref->capture_prefix(*ref_dev, marks, snaps);
+    std::uint64_t bytes = 0;
+    for (const sim::Snapshot& s : snaps) bytes += s.bytes();
+    metrics.counter("gpurel_campaign_snapshots_total").add(snaps.size());
+    if (sink != nullptr)
+      sink->emit("campaign_snapshot_capture", {{"workload", result.workload},
+                                               {"epochs", snaps.size()},
+                                               {"image_bytes", bytes}});
   }
 
-  auto run_one = [&](WorkerState& st, std::size_t t) {
+  auto run_one = [&](TrialWorker& st, std::size_t t) {
     const TrialDesc& desc = trials[t];
     if (zero_site_class[static_cast<std::size_t>(desc.cls)]) {
       // Resolved at plan time: no reachable site, so the fault is masked by
@@ -963,11 +885,9 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
       MicroArchObserver march(layout, desc.cls, sample.target_index,
                               sample.fire_cycle);
       if (epoch >= 0) {
-        ensure_snaps(st);
-        const sim::Snapshot& snap =
-            (*st.snap_set)[static_cast<std::size_t>(epoch)];
+        const sim::Snapshot& snap = snaps[static_cast<std::size_t>(epoch)];
         march.preset_cycle_base(snap.prior.cycles);
-        r = st.w->run_trial_forked(*st.dev, snap, &march, config.fork_delta);
+        r = st.w->run_trial_forked(*st.dev, snap, &march, /*delta=*/true);
         m_restore_bytes.add(st.w->last_restore_bytes());
       } else {
         r = st.w->run_trial(*st.dev, &march);
@@ -1011,15 +931,13 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
       trial_obs = &tee;
     }
     if (epoch >= 0) {
-      ensure_snaps(st);
       const EpochSites& es = epochs[static_cast<std::size_t>(epoch)];
       obs.preset_counts(class_sites(es.at, desc.cls, desc.kind));
       // The skipped prefix is fault-free, so the tracker only needs its
       // lane-instruction clock advanced to keep records fork-invariant.
       if (propagation) prop.preset_lane_count(es.at.total_lane);
-      r = st.w->run_trial_forked(
-          *st.dev, (*st.snap_set)[static_cast<std::size_t>(epoch)], trial_obs,
-          config.fork_delta);
+      r = st.w->run_trial_forked(*st.dev, snaps[static_cast<std::size_t>(epoch)],
+                                 trial_obs, /*delta=*/true);
       m_restore_bytes.add(st.w->last_restore_bytes());
     } else {
       r = st.w->run_trial(*st.dev, trial_obs);
@@ -1032,129 +950,38 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
     if (propagation) finish_record(prop.finish());
   };
 
-  auto after_chunk = [&](std::size_t begin, std::size_t end) {
-    done.add(end - begin);
-    progress.tick(end - begin);
-    if (sink != nullptr)
-      sink->emit("campaign_chunk", {{"begin", begin},
-                                    {"end", end},
-                                    {"done", done.value()},
-                                    {"total", todo}});
-    note_checkpoint_progress(begin, end);
-  };
-
-  // A static shard completes the strided position set {shard, shard+workers,
-  // ...}, not a contiguous range; the old report of [shard, shard+n) made
-  // chunk events overlap between shards and overstate early progress. The
-  // strided extent is reported explicitly instead, and never feeds the
-  // checkpoint frontier (checkpointing already requires Schedule::Dynamic).
-  auto after_shard = [&](std::size_t shard, std::size_t n) {
-    done.add(n);
-    progress.tick(n);
-    if (sink != nullptr)
-      sink->emit("campaign_chunk", {{"begin", shard},
-                                    {"stride", std::size_t{workers}},
-                                    {"count", n},
-                                    {"done", done.value()},
-                                    {"total", todo}});
-  };
-
-  auto emit_chunk_span = [&](std::size_t worker, double t0, std::size_t begin,
-                             std::size_t n) {
-    if (trace == nullptr) return;
-    trace->name_thread(obs::kWallPid, static_cast<int>(worker),
-                       "worker " + std::to_string(worker));
-    trace->complete("campaign " + result.workload, "campaign", obs::kWallPid,
-                    static_cast<int>(worker), t0, trace->now_us() - t0,
-                    {{"begin", begin}, {"trials", n}});
-  };
-
-  // Batch epoch-sorting: under forking, each worker executes its batch's
-  // positions grouped by fork epoch (stable sort, so same-epoch trials keep
-  // their position order) so consecutive trials resume from a hot snapshot —
-  // the delta fast path only fires for back-to-back trials on the same
-  // snapshot. Per-trial seeding makes every outcome independent of execution
-  // order, and completion is still reported for the whole batch, so chunk
-  // events and the checkpoint frontier are unchanged.
-  auto sorted_positions = [&](std::size_t begin, std::size_t end,
-                              std::size_t stride) {
-    std::vector<std::size_t> ps;
-    ps.reserve((end - begin + stride - 1) / stride);
-    for (std::size_t p = begin; p < end; p += stride) ps.push_back(p);
-    std::stable_sort(ps.begin(), ps.end(), [&](std::size_t a, std::size_t b) {
-      return trial_epoch[owned[skip + a]] < trial_epoch[owned[skip + b]];
-    });
-    return ps;
-  };
-
-  // Ranges handed to the schedulers are *positions* in the owned order
-  // (dense [0, todo)); run_one maps them back to global trial ids.
-  auto run_range = [&](std::size_t worker, std::size_t begin, std::size_t end) {
-    WorkerState& st = ensure_state(worker);
-    const double t0 = trace != nullptr ? trace->now_us() : 0.0;
-    if (forking) {
-      for (const std::size_t p : sorted_positions(begin, end, 1))
-        run_one(st, owned[skip + p]);
-    } else {
-      for (std::size_t p = begin; p < end; ++p) run_one(st, owned[skip + p]);
-    }
-    emit_chunk_span(worker, t0, begin, end - begin);
-    after_chunk(begin, end);
-  };
-
-  if (!dynamic) {
-    // Legacy static round-robin sharding (benchmark baseline).
-    auto run_shard = [&](std::size_t shard) {
-      WorkerState& st = ensure_state(shard);
-      const double t0 = trace != nullptr ? trace->now_us() : 0.0;
-      std::size_t n = 0;
-      if (forking) {
-        const std::vector<std::size_t> ps =
-            sorted_positions(shard, todo, workers);
-        n = ps.size();
-        for (const std::size_t p : ps) run_one(st, owned[skip + p]);
-      } else {
-        for (std::size_t p = shard; p < todo; p += workers, ++n)
-          run_one(st, owned[skip + p]);
-      }
-      if (n > 0) {
-        emit_chunk_span(shard, t0, shard, n);
-        after_shard(shard, n);  // one completion per shard, strided positions
-      }
-    };
-    if (workers == 1) {
-      run_shard(0);
-    } else {
-      ThreadPool pool(workers);
-      parallel_for(pool, workers, run_shard);
-    }
-  } else if (workers == 1) {
-    for (std::size_t begin = 0; begin < todo;) {
-      const std::size_t step =
-          chunk > 0 ? chunk : guided_chunk(todo - begin, 1);
-      const std::size_t end = std::min(todo, begin + step);
-      run_range(0, begin, end);
-      begin = end;
-    }
-  } else {
-    ThreadPool pool(workers);
-    parallel_chunks(pool, todo, chunk, run_range);
-  }
+  // Chunks are *positions* in the owned order (dense [0, todo)); run_one maps
+  // them back to global trial ids. Under forking each chunk runs grouped by
+  // fork epoch (stable sort, so same-epoch trials keep their position order)
+  // so consecutive trials resume from a hot snapshot — the delta fast path
+  // only fires for back-to-back trials on the same snapshot. Per-trial
+  // seeding makes every outcome independent of execution order, and
+  // completion is still reported for the whole chunk, so chunk events and
+  // the checkpoint frontier are unchanged.
+  engine.run(
+      todo,
+      [&](TrialWorker& st, std::size_t begin, std::size_t end) {
+        std::vector<std::size_t> ps;
+        ps.reserve(end - begin);
+        for (std::size_t p = begin; p < end; ++p) ps.push_back(owned[skip + p]);
+        if (forking)
+          std::stable_sort(ps.begin(), ps.end(),
+                           [&](std::size_t a, std::size_t b) {
+                             return trial_epoch[a] < trial_epoch[b];
+                           });
+        for (const std::size_t t : ps) run_one(st, t);
+      },
+      note_checkpoint_progress);
 
   // Snapshot-pool footprint: the bytes actually retained for fork batching —
-  // each distinct snapshot set (ONE set under the shared pool, one per
-  // capturing worker on the legacy path), memory images and executor state
-  // alike, plus every worker's delta-tracking dirty scratch. set_max keeps
-  // the high-water mark across campaigns in one process.
+  // the one shared snapshot set, memory images and executor state alike,
+  // plus every worker's delta-tracking dirty scratch. set_max keeps the
+  // high-water mark across campaigns in one process.
   if (forking) {
     std::uint64_t pool_bytes = 0;
-    if (shared_pool)
-      for (const sim::Snapshot& s : shared_snaps) pool_bytes += s.bytes();
-    for (WorkerState& st : states) {
-      if (st.snap_set == &st.own_snaps)
-        for (const sim::Snapshot& s : st.own_snaps) pool_bytes += s.bytes();
+    for (const sim::Snapshot& s : snaps) pool_bytes += s.bytes();
+    for (const TrialWorker& st : engine.workers())
       if (st.dev) pool_bytes += st.dev->memory().dirty_scratch_bytes();
-    }
     metrics.gauge("gpurel_campaign_snapshot_pool_bytes")
         .set_max(static_cast<double>(pool_bytes));
   }

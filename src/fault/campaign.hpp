@@ -45,7 +45,7 @@ struct OutcomeCounts {
 /// Dynamic fault-site counts of one workload under one injector's
 /// eligibility rules, measured by a fault-free counting run. A campaign
 /// normally performs this run itself; callers launching several campaigns
-/// over the same (injector, workload) pair — schedule comparisons,
+/// over the same (injector, workload) pair — fork comparisons,
 /// throughput benchmarks — can measure once with count_sites() and share the
 /// result through CampaignConfig::sites, skipping the redundant fault-free
 /// runs. Sharing is bit-identity-preserving: trial seeds and site sampling
@@ -56,18 +56,6 @@ struct SiteCounts {
   std::uint64_t pred = 0;          // predicate-writing lane executions
   std::uint64_t stores = 0;        // lane-level STG/STS executions
   std::uint64_t total_lane = 0;    // all lane executions (IA/RF anchor)
-};
-
-/// How trials are distributed over campaign workers. Per-trial seeding makes
-/// results bit-identical under either policy and any worker count.
-enum class Schedule : std::uint8_t {
-  /// Chunked dynamic self-scheduling (default): workers pull small index
-  /// chunks from a shared cursor, so a run of watchdog-timeout DUE trials
-  /// cannot stall one shard while the others sit idle.
-  Dynamic,
-  /// Legacy static round-robin sharding (trial i -> worker i % workers);
-  /// kept as the measurable baseline for bench_campaign_throughput.
-  StaticRoundRobin,
 };
 
 struct KindStats {
@@ -164,15 +152,12 @@ struct CampaignCheckpoint {
 
 struct CampaignConfig : InjectionBudget, obs::RunContext {
   std::uint64_t seed = 0x1234;
+  /// Worker threads; trials are dealt out in guided dynamic chunks (see
+  /// fault/trial_engine.hpp), and results are bit-identical at any count.
   unsigned workers = 1;
-  Schedule schedule = Schedule::Dynamic;
-  /// Trials per dynamically-scheduled chunk; 0 = guided self-scheduling
-  /// (decreasing chunk sizes, see gpurel::guided_chunk). Either way results
-  /// are bit-identical — only the work distribution changes.
-  unsigned chunk = 0;
   /// When set, receives the per-trial simulated-cycle cost, indexed by the
-  /// campaign's (deterministic) internal trial order. Consumed by scheduling
-  /// benchmarks; leave null otherwise.
+  /// campaign's (deterministic) internal trial order. Consumed by the
+  /// fork-equivalence tests; leave null otherwise.
   std::vector<std::uint64_t>* trial_cycles_out = nullptr;
   /// When set, receives the per-trial outcome, indexed like trial_cycles_out
   /// (trials not owned by this shard keep Outcome::Masked). Consumed by the
@@ -180,31 +165,17 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
   std::vector<core::Outcome>* trial_outcomes_out = nullptr;
 
   /// Checkpoint-fork trial batching: when > 0 and the workload is fork-safe
-  /// (core::Workload::fork_safe), each worker simulates the shared fault-free
-  /// prefix once, snapshotting device state at up to this many evenly spaced
-  /// epochs, and every trial whose injection fires after an epoch resumes
-  /// from the deepest valid snapshot instead of re-simulating the prefix.
-  /// Per-trial RNG draws and outcomes are bit-identical to fork_epochs == 0;
-  /// only wall-clock changes. Ignored (plain execution) for workloads that
-  /// are not fork-safe.
+  /// (core::Workload::fork_safe), the campaign simulates the shared
+  /// fault-free prefix once, before workers start, snapshotting device state
+  /// at up to this many evenly spaced epochs; every worker reads that one
+  /// snapshot set, and every trial whose injection fires after an epoch
+  /// resumes from the deepest valid snapshot instead of re-simulating the
+  /// prefix. Each chunk runs sorted by epoch so consecutive trials restore
+  /// only the state the previous suffix touched (delta restores). Per-trial
+  /// RNG draws and outcomes are bit-identical to fork_epochs == 0; only
+  /// wall-clock changes. Ignored (plain execution) for workloads that are
+  /// not fork-safe.
   unsigned fork_epochs = 0;
-  /// Delta restores (whenever the campaign forks: fork_epochs > 0, or
-  /// auto_fork picks epochs): arm coarse dirty tracking on the worker's
-  /// device so consecutive trials forked from the same snapshot copy back
-  /// only the state the previous suffix touched instead of the full device
-  /// image. Bit-identity-neutral; off switches every restore back to
-  /// the full copy (the A/B knob for the ci.sh byte-identity leg and the
-  /// bench delta series).
-  bool fork_delta = true;
-  /// Shared snapshot set (whenever the campaign forks: fork_epochs > 0, or
-  /// auto_fork picks epochs): capture the fault-free prefix once, before
-  /// workers start, and share the immutable snapshot vector read-only across
-  /// all workers — eliminating the W-1 redundant prefix simulations of the
-  /// per-worker capture path. Each worker's trial
-  /// batch is sorted by fork epoch so consecutive trials reuse a hot
-  /// snapshot. Bit-identity-neutral; off restores the legacy lazy per-worker
-  /// capture.
-  bool fork_shared_pool = true;
   /// Automatic fork batching: when fork_epochs is 0, fork with
   /// auto_fork_epochs() epochs, chosen from the golden run length and the
   /// budget's upper bound on the trials this process simulates (requested
@@ -242,9 +213,8 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
 
   /// Emit a CampaignCheckpoint through on_checkpoint every time this many
   /// additional owned trials form a completed contiguous prefix of the
-  /// shard's trial order. 0 disables checkpointing. Requires
-  /// Schedule::Dynamic (the static path reports no usable completion
-  /// ranges). The callback runs under an internal lock — keep it brief.
+  /// shard's trial order. 0 disables checkpointing. The callback runs under
+  /// an internal lock — keep it brief.
   unsigned checkpoint_every = 0;
   std::function<void(const CampaignCheckpoint&)> on_checkpoint;
   /// Resume from a checkpoint previously emitted by this exact shard

@@ -53,7 +53,6 @@ Value spec_to_json(const JobSpec& spec) {
     // Only serialized when enabled: hashes of pre-existing specs must not
     // move just because the field now exists.
     if (spec.fork_epochs != 0) c.set("fork_epochs", spec.fork_epochs);
-    if (!spec.fork_delta) c.set("fork_delta", spec.fork_delta);
     if (spec.propagation) c.set("propagation", spec.propagation);
     v.set("campaign", std::move(c));
   } else {
@@ -118,9 +117,10 @@ JobSpec spec_from_json(const Value& doc) {
     opt_u32("scoreboard_injections", spec.budget.scoreboard_injections);
     opt_u32("cta_injections", spec.budget.cta_injections);
     opt_u32("warp_control_injections", spec.budget.warp_control_injections);
+    // Spec files from before delta restores became unconditional may carry
+    // "fork_delta"; it named no result-changing choice, so it is ignored.
     if (const Value* fe = c.find("fork_epochs"))
       spec.fork_epochs = static_cast<unsigned>(fe->as_uint());
-    if (const Value* fd = c.find("fork_delta")) spec.fork_delta = fd->as_bool();
     if (const Value* pr = c.find("propagation")) spec.propagation = pr->as_bool();
   } else {
     const Value& b = doc.at("beam");

@@ -193,6 +193,18 @@ TEST(Beam, ZeroWeightGuard) {
   EXPECT_DOUBLE_EQ(r.fit_sdc, 0.0);
 }
 
+// Regression: run_beam used the factory's result without checking it, so a
+// factory returning null crashed instead of being rejected as a campaign's
+// is.
+TEST(Beam, RejectsNullFactory) {
+  const core::WorkloadFactory null_factory = [] {
+    return std::unique_ptr<core::Workload>();
+  };
+  BeamConfig bc;
+  bc.runs = 4;
+  EXPECT_THROW(run_beam(CrossSectionDb::kepler(), null_factory, bc),
+               std::invalid_argument);
+}
 
 TEST(BeamObserver, DropsHookClaimsOnceItsStrikeHasFired) {
   // One-shot: after its last strike has fired the observer claims no hook,

@@ -1,14 +1,13 @@
 // Scheduling-determinism regression tests: fault-injection campaigns and
-// beam experiments must be bit-identical for any worker count, chunk size,
-// or scheduling policy. The runtime guarantees this by seeding every
-// trial/run from its index and tallying per-index outcome vectors serially,
-// so these tests pin the whole contract: if a refactor makes results depend
-// on which worker ran a trial, they fail.
+// beam experiments must be bit-identical for any worker count. The trial
+// engine guarantees this by seeding every trial/run from its index and
+// tallying per-index outcome vectors serially, so these tests pin the whole
+// contract: if a refactor makes results depend on which worker ran a trial,
+// they fail.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "beam/experiment.hpp"
 #include "common/telemetry.hpp"
@@ -69,43 +68,6 @@ TEST(Determinism, CampaignBitIdenticalAcrossWorkerCounts) {
     const auto r = fault::run_campaign(*inj, factory, cc);
     expect_same_campaign(r1, r, "workers");
   }
-}
-
-TEST(Determinism, CampaignBitIdenticalAcrossSchedulesAndChunks) {
-  auto inj = fault::make_injector("SASSIFI");
-  fault::CampaignConfig base;
-  base.injections_per_kind = 8;
-  base.ia_injections = 10;
-  base.seed = 77;
-  base.workers = 3;
-  auto factory = [&] {
-    return std::make_unique<MxM>(cfg(inj->profile()), Precision::Single, 16);
-  };
-
-  const auto dynamic_guided = fault::run_campaign(*inj, factory, base);
-
-  fault::CampaignConfig fixed = base;
-  fixed.chunk = 1;
-  expect_same_campaign(dynamic_guided, fault::run_campaign(*inj, factory, fixed),
-                       "chunk=1");
-  fixed.chunk = 7;
-  expect_same_campaign(dynamic_guided, fault::run_campaign(*inj, factory, fixed),
-                       "chunk=7");
-
-  fault::CampaignConfig rr = base;
-  rr.schedule = fault::Schedule::StaticRoundRobin;
-  expect_same_campaign(dynamic_guided, fault::run_campaign(*inj, factory, rr),
-                       "static round-robin");
-
-  // Per-trial cycle costs are schedule-independent too (the benchmark's
-  // model makespans rely on this).
-  std::vector<std::uint64_t> cyc_dyn, cyc_rr;
-  fault::CampaignConfig with_cycles = base;
-  with_cycles.trial_cycles_out = &cyc_dyn;
-  fault::run_campaign(*inj, factory, with_cycles);
-  rr.trial_cycles_out = &cyc_rr;
-  fault::run_campaign(*inj, factory, rr);
-  EXPECT_EQ(cyc_dyn, cyc_rr);
 }
 
 TEST(Determinism, PrecountedSitesDoNotPerturbResults) {
@@ -193,7 +155,7 @@ TEST(Determinism, ObservabilityDoesNotPerturbResults) {
   std::remove((testing::TempDir() + "gpurel_det_beam.json").c_str());
 }
 
-TEST(Determinism, BeamBitIdenticalAcrossWorkersAndSchedules) {
+TEST(Determinism, BeamBitIdenticalAcrossWorkerCounts) {
   beam::BeamConfig base;
   base.runs = 60;
   base.seed = 4321;
@@ -225,14 +187,6 @@ TEST(Determinism, BeamBitIdenticalAcrossWorkersAndSchedules) {
     bc.workers = workers;
     check(bc, "workers");
   }
-  beam::BeamConfig rr = base;
-  rr.workers = 4;
-  rr.schedule = fault::Schedule::StaticRoundRobin;
-  check(rr, "static round-robin");
-  beam::BeamConfig chunked = base;
-  chunked.workers = 2;
-  chunked.chunk = 5;
-  check(chunked, "chunk=5");
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Checkpoint-fork equivalence: campaigns executed with fork batching
 // (CampaignConfig::fork_epochs > 0) must reproduce the unforked campaign bit
 // for bit — per-trial outcomes, per-trial simulated cycles, and every
-// aggregate tally — across worker counts, schedules, and epoch bucketings.
+// aggregate tally — across worker counts and epoch bucketings.
 // Also pins the Workload-level snapshot contract directly: a trial resumed
 // from a captured prefix with no fault behaves exactly like a fresh trial.
 #include <gtest/gtest.h>
@@ -41,24 +41,15 @@ struct RunOut {
   std::vector<std::uint64_t> cycles;
 };
 
-struct ForkKnobs {
-  bool delta = true;
-  bool shared_pool = true;
-  bool auto_fork = false;
-};
-
 RunOut run(const Injector& inj, const WorkloadFactory& factory,
-           const InjectionBudget& budget, unsigned workers, Schedule sched,
-           unsigned fork_epochs, ForkKnobs knobs = {}) {
+           const InjectionBudget& budget, unsigned workers,
+           unsigned fork_epochs, bool auto_fork = false) {
   CampaignConfig cc;
   cc.budget() = budget;
   cc.seed = 0xf0f0;
   cc.workers = workers;
-  cc.schedule = sched;
   cc.fork_epochs = fork_epochs;
-  cc.fork_delta = knobs.delta;
-  cc.fork_shared_pool = knobs.shared_pool;
-  cc.auto_fork = knobs.auto_fork;
+  cc.auto_fork = auto_fork;
   RunOut out;
   cc.trial_outcomes_out = &out.outcomes;
   cc.trial_cycles_out = &out.cycles;
@@ -115,7 +106,7 @@ TEST(ForkEquivalence, MxmAllModesAcrossWorkersAndEpochs) {
   budget.store_addr_injections = 4;
 
   const RunOut base =
-      run(*inj, factory, budget, 1, Schedule::Dynamic, /*fork_epochs=*/0);
+      run(*inj, factory, budget, 1, /*fork_epochs=*/0);
   ASSERT_GT(base.result.total_injections(), 0u);
   // A mix of outcomes, otherwise the equivalence below is vacuous.
   OutcomeCounts all;
@@ -125,18 +116,14 @@ TEST(ForkEquivalence, MxmAllModesAcrossWorkersAndEpochs) {
 
   for (const unsigned workers : {1u, 2u, 4u}) {
     const RunOut forked =
-        run(*inj, factory, budget, workers, Schedule::Dynamic, 4);
+        run(*inj, factory, budget, workers, 4);
     expect_same_trials(base, forked);
   }
   for (const unsigned epochs : {1u, 9u}) {
     const RunOut forked =
-        run(*inj, factory, budget, 2, Schedule::Dynamic, epochs);
+        run(*inj, factory, budget, 2, epochs);
     expect_same_trials(base, forked);
   }
-  // Static round-robin scheduling forks identically.
-  const RunOut forked_static =
-      run(*inj, factory, budget, 2, Schedule::StaticRoundRobin, 4);
-  expect_same_trials(base, forked_static);
 }
 
 TEST(ForkEquivalence, MultiLaunchWorkloadForksMidSequence) {
@@ -149,12 +136,14 @@ TEST(ForkEquivalence, MultiLaunchWorkloadForksMidSequence) {
   InjectionBudget budget;
   budget.injections_per_kind = 4;
 
-  const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
+  const RunOut base = run(*inj, factory, budget, 1, 0);
   ASSERT_GT(base.result.total_injections(), 0u);
   for (const unsigned epochs : {3u, 7u}) {
-    const RunOut forked = run(*inj, factory, budget, 2, Schedule::Dynamic, epochs);
+    const RunOut forked = run(*inj, factory, budget, 2, epochs);
     expect_same_trials(base, forked);
   }
+  // Three workers restoring from the one shared snapshot set.
+  expect_same_trials(base, run(*inj, factory, budget, 3, 4));
 }
 
 TEST(ForkEquivalence, HighAvfMicrobenchKeepsSdcProfile) {
@@ -167,11 +156,11 @@ TEST(ForkEquivalence, HighAvfMicrobenchKeepsSdcProfile) {
   InjectionBudget budget;
   budget.injections_per_kind = 12;
 
-  const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
+  const RunOut base = run(*inj, factory, budget, 1, 0);
   OutcomeCounts all;
   for (const Outcome o : base.outcomes) all.add(o);
   EXPECT_GT(all.sdc, 0u);  // integer chains: flips survive to the output
-  const RunOut forked = run(*inj, factory, budget, 4, Schedule::Dynamic, 5);
+  const RunOut forked = run(*inj, factory, budget, 4, 5);
   expect_same_trials(base, forked);
 }
 
@@ -193,16 +182,16 @@ TEST(ForkEquivalence, DeviceSteppedWorkloadsForkAcrossWorkersAndEpochs) {
 
   for (const auto& factory : factories) {
     ASSERT_TRUE(factory()->fork_safe());
-    const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
+    const RunOut base = run(*inj, factory, budget, 1, 0);
     ASSERT_GT(base.result.total_injections(), 0u);
     for (const unsigned workers : {1u, 2u, 4u}) {
       const RunOut forked =
-          run(*inj, factory, budget, workers, Schedule::Dynamic, 4);
+          run(*inj, factory, budget, workers, 4);
       expect_same_trials(base, forked);
     }
     for (const unsigned epochs : {1u, 6u}) {
       const RunOut forked =
-          run(*inj, factory, budget, 2, Schedule::Dynamic, epochs);
+          run(*inj, factory, budget, 2, epochs);
       expect_same_trials(base, forked);
     }
   }
@@ -245,13 +234,13 @@ TEST(ForkEquivalence, KernelsWithDifferentFootprintsForkAcrossLaunches) {
     budget.cta_injections = 4;
     budget.warp_control_injections = 6;
 
-    const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
+    const RunOut base = run(*inj, factory, budget, 1, 0);
     ASSERT_GT(base.result.total_injections(), 0u) << name;
     for (const unsigned epochs : {3u, 8u})
       expect_same_trials(base,
-                         run(*inj, factory, budget, 2, Schedule::Dynamic, epochs));
-    expect_same_trials(base, run(*inj, factory, budget, 3, Schedule::Dynamic, 0,
-                                 {.auto_fork = true}));
+                         run(*inj, factory, budget, 2, epochs));
+    expect_same_trials(base, run(*inj, factory, budget, 3, 0,
+                                 /*auto_fork=*/true));
   }
 }
 
@@ -295,13 +284,14 @@ TEST(ForkEquivalence, SnapshotsHoldOnlyTheRegisterFootprint) {
   pool.set(0);
   InjectionBudget budget;
   budget.injections_per_kind = 6;
-  run(*inj, factory, budget, 2, Schedule::Dynamic, 1);  // marks {total / 2}
+  run(*inj, factory, budget, 2, 1);  // marks {total / 2}
   EXPECT_GE(pool.value(), static_cast<double>(snap.bytes()));
 }
 
-TEST(ForkEquivalence, DeltaRestoreMatchesFullRestore) {
-  // Campaign level: delta restores on and off must produce the same trials
-  // bit for bit (and both must match the unforked campaign).
+TEST(ForkEquivalence, DeltaRestoredCampaignMatchesPlain) {
+  // Campaign level: forked trials restore by delta whenever consecutive
+  // trials share a snapshot, and must still match the unforked campaign bit
+  // for bit.
   auto inj = make_injector("SASSIFI");
   const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
                           0x5eed, 0.05};
@@ -312,14 +302,9 @@ TEST(ForkEquivalence, DeltaRestoreMatchesFullRestore) {
   budget.injections_per_kind = 5;
   budget.rf_injections = 5;
 
-  const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
+  const RunOut base = run(*inj, factory, budget, 1, 0);
   ASSERT_GT(base.result.total_injections(), 0u);
-  const RunOut full = run(*inj, factory, budget, 2, Schedule::Dynamic, 4,
-                          {/*delta=*/false, /*shared_pool=*/true});
-  const RunOut delta = run(*inj, factory, budget, 2, Schedule::Dynamic, 4,
-                           {/*delta=*/true, /*shared_pool=*/true});
-  expect_same_trials(base, full);
-  expect_same_trials(base, delta);
+  expect_same_trials(base, run(*inj, factory, budget, 2, 4));
 }
 
 TEST(ForkEquivalence, DeltaFastPathRestoresFewerBytesSameResult) {
@@ -356,26 +341,6 @@ TEST(ForkEquivalence, DeltaFastPathRestoresFewerBytesSameResult) {
   EXPECT_LT(fast_bytes, full_bytes);
 }
 
-TEST(ForkEquivalence, SharedSnapshotPoolMatchesPerWorkerCapture) {
-  // One shared capture pass and per-worker lazy captures must agree bit for
-  // bit with each other and with the unforked campaign.
-  auto inj = make_injector("NVBitFI");
-  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
-                          0x5eed, 0.05};
-  auto factory = [&] { return std::make_unique<Mergesort>(wc); };
-  InjectionBudget budget;
-  budget.injections_per_kind = 4;
-
-  const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
-  ASSERT_GT(base.result.total_injections(), 0u);
-  const RunOut shared = run(*inj, factory, budget, 3, Schedule::Dynamic, 4,
-                            {/*delta=*/true, /*shared_pool=*/true});
-  const RunOut per_worker = run(*inj, factory, budget, 3, Schedule::Dynamic, 4,
-                                {/*delta=*/true, /*shared_pool=*/false});
-  expect_same_trials(base, shared);
-  expect_same_trials(base, per_worker);
-}
-
 TEST(ForkEquivalence, NonForkSafeWorkloadFallsBackUnchanged) {
   // Quicksort reads pivots/counters back to the host mid-trial, so it is not
   // fork-safe: fork_epochs must be silently ignored, not break the campaign.
@@ -387,8 +352,8 @@ TEST(ForkEquivalence, NonForkSafeWorkloadFallsBackUnchanged) {
   InjectionBudget budget;
   budget.injections_per_kind = 2;
 
-  const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
-  const RunOut forked = run(*inj, factory, budget, 2, Schedule::Dynamic, 4);
+  const RunOut base = run(*inj, factory, budget, 1, 0);
+  const RunOut forked = run(*inj, factory, budget, 2, 4);
   expect_same_trials(base, forked);
 }
 

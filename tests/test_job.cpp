@@ -129,6 +129,25 @@ TEST(JobSpecTest, ForkEpochsHashesOnlyWhenEnabled) {
   EXPECT_EQ(canonical_json(back), canonical_json(forked));
 }
 
+// Execution choices stay out of the cache key: spec files planned while
+// delta restores were a knob may still carry "fork_delta": false, which
+// named no result, so parsing ignores it and the spec hashes like the
+// default spec.
+TEST(JobSpecTest, RetiredForkDeltaKeyIsIgnored) {
+  const JobSpec base = reference_campaign_spec();
+  json::Value doc = spec_to_json(base);
+  json::Value campaign = doc.at("campaign");
+  campaign.set("fork_delta", false);
+  doc.set("campaign", std::move(campaign));
+  const std::string text = doc.dump();
+  ASSERT_NE(text.find("\"fork_delta\":false"), std::string::npos);
+
+  const JobSpec parsed = spec_from_json(json::Value::parse(text));
+  EXPECT_EQ(content_hash(parsed), content_hash(base));
+  EXPECT_EQ(cache_key(parsed), cache_key(base));
+  EXPECT_EQ(hash_hex(content_hash(parsed)), "2f8e2c8a0876b1f3");
+}
+
 // Fork batching only changes wall-clock: the campaign portion of a
 // fork-batched job is byte-identical to the plain job's.
 TEST(JobShardTest, ForkBatchedJobReproducesPlainResult) {
@@ -366,21 +385,6 @@ TEST(JobCheckpointTest, ForeignCheckpointIsIgnored) {
   RunOptions opts;
   opts.checkpoint_path = ckpt.string();
   EXPECT_EQ(result_dump(run_job(spec, opts)), golden);
-}
-
-TEST(JobCheckpointTest, CheckpointsRequireDynamicSchedule) {
-  const auto injector = fault::make_injector("NVBitFI");
-  const JobSpec spec = reference_campaign_spec();
-  const auto factory = kernels::workload_factory(
-      spec.entry.base, spec.entry.precision,
-      {spec.device, spec.profile, spec.input_seed, spec.scale});
-  fault::CampaignConfig cc;
-  cc.budget() = spec.budget;
-  cc.schedule = fault::Schedule::StaticRoundRobin;
-  cc.checkpoint_every = 8;
-  cc.on_checkpoint = [](const fault::CampaignCheckpoint&) {};
-  EXPECT_THROW(fault::run_campaign(*injector, factory, cc),
-               std::invalid_argument);
 }
 
 // ---- runner validation ----------------------------------------------------

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -165,57 +164,6 @@ TEST(Telemetry, CampaignEmitsStartChunkEnd) {
   for (const auto& line : lines)
     if (line.find("\"event\":\"campaign_chunk\"") != std::string::npos) ++chunks;
   EXPECT_GT(chunks, 0u);
-  std::remove(path.c_str());
-}
-
-// Regression: a static round-robin shard completes the strided position set
-// {shard, shard+workers, ...}, but its chunk event used to claim the
-// contiguous range [shard, shard+n) — overlapping the other shards' reports
-// and overstating early progress. The event now spells out the stride.
-TEST(Telemetry, StaticScheduleChunksReportStride) {
-  const std::string path = temp_path("static_chunks");
-  std::uint64_t total_trials = 0;
-  {
-    Sink sink(path);
-    auto inj = fault::make_injector("SASSIFI");
-    const core::WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2),
-                                  inj->profile(), 0x5eed, 0.05};
-    fault::CampaignConfig cc;
-    cc.injections_per_kind = 4;
-    cc.seed = 11;
-    cc.workers = 3;
-    cc.schedule = fault::Schedule::StaticRoundRobin;
-    cc.telemetry = &sink;
-    const auto r = fault::run_campaign(
-        *inj,
-        [&] {
-          return std::make_unique<kernels::MxM>(wc, core::Precision::Single, 16);
-        },
-        cc);
-    total_trials = r.total_injections();
-    ASSERT_GT(total_trials, 0u);
-  }
-  const auto lines = read_lines(path);
-  std::uint64_t counted = 0;
-  std::set<std::string> begins;
-  std::size_t chunks = 0;
-  for (const auto& line : lines) {
-    if (line.find("\"event\":\"campaign_chunk\"") == std::string::npos) continue;
-    ++chunks;
-    // One chunk event per shard: stride == worker count, disjoint begins
-    // (the shard index), per-shard counts summing to the campaign total.
-    EXPECT_NE(line.find("\"stride\":3"), std::string::npos) << line;
-    EXPECT_EQ(line.find("\"end\":"), std::string::npos) << line;
-    const auto b = line.find("\"begin\":");
-    ASSERT_NE(b, std::string::npos) << line;
-    EXPECT_TRUE(begins.insert(line.substr(b, line.find(',', b) - b)).second)
-        << line;
-    const auto c = line.find("\"count\":");
-    ASSERT_NE(c, std::string::npos) << line;
-    counted += std::stoull(line.substr(c + 8));
-  }
-  EXPECT_EQ(chunks, 3u);
-  EXPECT_EQ(counted, total_trials);
   std::remove(path.c_str());
 }
 

@@ -49,7 +49,7 @@ int usage() {
                "        [--injector=SASSIFI|NVBitFI|MicroArch --injections=N\n"
                "         --rf=N --pred=N --ia=N --store-value=N --store-addr=N\n"
                "         --sched=N --scoreboard=N --cta=N --warp-control=N\n"
-               "         --fork-epochs=N --fork-delta[=false] --propagation]\n"
+               "         --fork-epochs=N --propagation]\n"
                "        [--ecc[=false] --mode=accelerated|natural --runs=N\n"
                "         --flux-scale=X]\n"
                "        [--seed=N --input-seed=N --scale=X]\n"
@@ -122,7 +122,6 @@ int cmd_plan(const Cli& cli) {
     spec.budget.cta_injections = u("cta", 0);
     spec.budget.warp_control_injections = u("warp-control", 0);
     spec.fork_epochs = u("fork-epochs", 0);
-    spec.fork_delta = cli.get_bool("fork-delta", true);
     spec.propagation = cli.get_bool("propagation", false);
   } else {
     spec.kind = job::JobKind::Beam;
