@@ -19,21 +19,10 @@
 
 using namespace gpurel;
 
-namespace {
-
-core::Precision parse_precision(const std::string& s) {
-  if (s == "int" || s == "int32") return core::Precision::Int32;
-  if (s == "half" || s == "fp16") return core::Precision::Half;
-  if (s == "double" || s == "fp64") return core::Precision::Double;
-  return core::Precision::Single;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const std::string code = cli.get("code", "MXM");
-  const auto precision = parse_precision(cli.get("precision", "single"));
+  const auto precision = core::parse_precision(cli.get("precision", "single"));
   const bool volta = cli.get("arch", "kepler") == "volta";
 
   core::StudyConfig sc;

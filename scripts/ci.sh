@@ -135,40 +135,38 @@ assert trials == 0, f"cache-served reruns simulated {trials} trials"
 print(f"job smoke OK: 3-way merge byte-identical, {hits} cache hits, "
       f"0 misses, 0 simulated trials on rerun")
 EOF
+# An unknown precision name is an error, not a silent FP32 job.
+if "${JOBS_BIN}" plan --kind=campaign --code=ADD --precision=fp32x \
+    --out="${JOB_DIR}/typo" >/dev/null 2>&1; then
+  echo "plan accepted --precision=fp32x"; exit 1
+fi
 
-echo "==> fork-equivalence smoke (checkpoint-fork batching is bit-identical)"
-# The same campaign planned plain and with checkpoint-fork batching must
-# produce byte-identical result documents; only the spec (and so the cache
-# key) differs, which is why the comparison strips the embedded spec.
-for fork in 0 4; do
-  "${JOBS_BIN}" plan --kind=campaign --arch=kepler --code=MXM \
-    --precision=single --injector=SASSIFI --injections=4 --rf=8 --ia=12 \
-    --seed=13 --scale=0.05 --fork-epochs="${fork}" \
-    --out="${JOB_DIR}/mxm.fork${fork}" >/dev/null
-  "${JOBS_BIN}" run --spec="${JOB_DIR}/mxm.fork${fork}.shard0of1.json" \
-    --out="${JOB_DIR}/mxm.fork${fork}.out.json" >/dev/null
-  python3 -c 'import json, sys
-json.dump(json.load(open(sys.argv[1]))["result"], open(sys.argv[2], "w"),
-          sort_keys=True)' \
-    "${JOB_DIR}/mxm.fork${fork}.out.json" "${JOB_DIR}/mxm.fork${fork}.result"
+echo "==> fork smoke (every campaign job forks; 1/2 workers byte-identical)"
+# Campaign jobs fork with the automatic epoch count: SASSIFI MXM-F at scale
+# 0.05 has a 49,664-lane golden run, so min(8, 49664/6144, trials) = 8
+# epochs. The plain-vs-forked byte check lives in tests/test_job.cpp
+# (JobShardTest.ForkBatchedJobReproducesPlainResult). Here, one capture pass
+# serves every worker: a 1- and a 2-worker run must each emit exactly one
+# campaign_snapshot_capture event and write the same bytes.
+"${JOBS_BIN}" plan --kind=campaign --arch=kepler --code=MXM \
+  --precision=single --injector=SASSIFI --injections=4 --rf=8 --ia=12 \
+  --seed=13 --scale=0.05 --out="${JOB_DIR}/mxm" >/dev/null
+for w in 1 2; do
+  GPUREL_TELEMETRY="${JOB_DIR}/fork.${w}.jsonl" \
+    "${JOBS_BIN}" run --spec="${JOB_DIR}/mxm.shard0of1.json" \
+    --out="${JOB_DIR}/mxm.${w}.out.json" --workers="${w}" >/dev/null
 done
-cmp "${JOB_DIR}/mxm.fork0.result" "${JOB_DIR}/mxm.fork4.result"
-# Shared snapshot pool: one capture pass serves every worker, so a forked
-# 2-worker run must emit exactly one campaign_snapshot_capture event and
-# write the 1-worker bytes.
-GPUREL_TELEMETRY="${JOB_DIR}/fork.jsonl" \
-  "${JOBS_BIN}" run --spec="${JOB_DIR}/mxm.fork4.shard0of1.json" \
-  --out="${JOB_DIR}/mxm.fork4.warm.json" --workers=2 >/dev/null
-cmp "${JOB_DIR}/mxm.fork4.out.json" "${JOB_DIR}/mxm.fork4.warm.json"
+cmp "${JOB_DIR}/mxm.1.out.json" "${JOB_DIR}/mxm.2.out.json"
 python3 - "${JOB_DIR}" <<'EOF'
 import json, sys
 d = sys.argv[1]
-evs = [json.loads(l) for l in open(f"{d}/fork.jsonl") if l.strip()]
-caps = [e for e in evs if e.get("event") == "campaign_snapshot_capture"]
-assert len(caps) == 1, f"expected exactly 1 capture event, got {len(caps)}"
-assert caps[0]["epochs"] == 4 and caps[0]["image_bytes"] > 0, caps[0]
-print("fork-equivalence smoke OK: plain/forked and 1/2-worker results "
-      "byte-identical, one shared snapshot capture across 2 workers")
+for w in (1, 2):
+    evs = [json.loads(l) for l in open(f"{d}/fork.{w}.jsonl") if l.strip()]
+    caps = [e for e in evs if e.get("event") == "campaign_snapshot_capture"]
+    assert len(caps) == 1, f"{w} worker(s): expected 1 capture, got {len(caps)}"
+    assert caps[0]["epochs"] == 8 and caps[0]["image_bytes"] > 0, caps[0]
+print("fork smoke OK: 1/2-worker results byte-identical, one shared "
+      "8-epoch snapshot capture per run")
 EOF
 
 echo "==> propagation smoke (provenance JSONL + outcome-identical to plain)"
@@ -230,7 +228,7 @@ echo "==> microarch smoke (MicroArch campaign: strata, DUE causes, arch purity)"
 "${JOBS_BIN}" plan --kind=campaign --arch=kepler --code=MXM \
   --precision=single --injector=MicroArch --injections=0 --sched=10 \
   --scoreboard=10 --cta=10 --warp-control=10 --seed=13 --scale=0.05 \
-  --fork-epochs=4 --out="${JOB_DIR}/march" >/dev/null
+  --out="${JOB_DIR}/march" >/dev/null
 "${JOBS_BIN}" run --spec="${JOB_DIR}/march.shard0of1.json" \
   --out="${JOB_DIR}/march.out.json" --workers=2 >/dev/null
 python3 - "${JOB_DIR}" <<'EOF'
@@ -258,15 +256,16 @@ echo "==> ThreadSanitizer quick leg (thread pool + campaign determinism + fork)"
 # pool (read-only snapshot set + per-worker delta restores across workers),
 # and the multi-worker MicroArch campaigns (machine-state strikes from
 # worker threads). The preset's ctest filter covers more binaries; build and
-# run just these four here, plus the Study's auto-fork test (forked stage-1
-# and job-layer campaigns on two workers) on its own.
+# run just these four here, plus the Study's digest test (forked stage-1 and
+# job-layer campaigns on two workers) on its own.
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}" --target \
   test_thread_pool test_determinism test_fork_equivalence test_microarch \
   test_study
 ctest --test-dir build-tsan -R '^test_(thread_pool|determinism|fork_equivalence|microarch)$' \
   -j "${JOBS}" --output-on-failure
-./build-tsan/tests/test_study --gtest_filter='Study.AutoFork*'
+./build-tsan/tests/test_study \
+  --gtest_filter='Study.ReportsMatchDigestsRecordedUnforked'
 
 echo "==> UBSan quick leg (executor arithmetic + serializers)"
 # Always-on subset of the full ubsan preset: the RNG/JSON/fault/executor and

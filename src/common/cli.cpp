@@ -1,9 +1,29 @@
 #include "common/cli.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace gpurel {
+
+namespace {
+
+/// Base-10 integer spanning all of `text`; `what` names its source in the
+/// error.
+std::int64_t parse_int(const std::string& text, const std::string& what) {
+  std::size_t pos = 0;
+  std::int64_t v = 0;
+  try {
+    v = std::stoll(text, &pos);
+  } catch (const std::exception&) {
+    pos = std::string::npos;  // stoll threw ("abc", out of range): same error
+  }
+  if (pos != text.size())
+    throw std::invalid_argument(what + ": not an integer: " + text);
+  return v;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -29,16 +49,19 @@ std::string Cli::get(const std::string& name, const std::string& def) const {
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  std::size_t pos = 0;
-  std::int64_t v = 0;
-  try {
-    v = std::stoll(it->second, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;  // stoll threw ("abc", out of range): same error
-  }
-  if (pos != it->second.size())
-    throw std::invalid_argument("--" + name + ": not an integer: " + it->second);
-  return v;
+  return parse_int(it->second, "--" + name);
+}
+
+unsigned Cli::get_uint(const std::string& name, unsigned def,
+                       const char* env) const {
+  const std::int64_t v =
+      env != nullptr ? get_int_env(name, env, def) : get_int(name, def);
+  constexpr std::int64_t kMax = std::numeric_limits<unsigned>::max();
+  if (v < 0 || v > kMax)
+    throw std::invalid_argument("--" + name + ": not a count in [0, " +
+                                std::to_string(kMax) +
+                                "]: " + std::to_string(v));
+  return static_cast<unsigned>(v);
 }
 
 double Cli::get_double(const std::string& name, double def) const {
@@ -67,13 +90,7 @@ bool Cli::has(const std::string& name) const { return values_.count(name) != 0; 
 std::int64_t Cli::get_int_env(const std::string& name, const char* env,
                               std::int64_t def) const {
   if (has(name)) return get_int(name, def);
-  if (const char* v = std::getenv(env)) {
-    try {
-      return std::stoll(v);
-    } catch (const std::exception&) {
-      throw std::invalid_argument(std::string(env) + ": not an integer: " + v);
-    }
-  }
+  if (const char* v = std::getenv(env)) return parse_int(v, env);
   return def;
 }
 

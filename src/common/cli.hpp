@@ -19,6 +19,11 @@ class Cli {
   std::string get(const std::string& name, const std::string& def = "") const;
   /// Integer flag (base 10); throws std::invalid_argument on malformed value.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// Count flag: an integer in [0, UINT32_MAX] from the flag, else from
+  /// environment variable `env` when given, else `def`; throws
+  /// std::invalid_argument on a malformed, negative or too-large value.
+  unsigned get_uint(const std::string& name, unsigned def,
+                    const char* env = nullptr) const;
   /// Double flag; throws std::invalid_argument on malformed value.
   double get_double(const std::string& name, double def) const;
   /// Boolean flag: present without value, or =true/=false.

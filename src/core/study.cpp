@@ -62,9 +62,6 @@ job::RunOptions Study::run_options() const {
   opts.workers = config_.workers;
   opts.context = config_.context();
   opts.cache_dir = config_.cache_dir;
-  // Every campaign forks its trials off shared fault-free prefixes when the
-  // workload allows it; outcomes and cache keys are the same either way.
-  opts.auto_fork = true;
   return opts;
 }
 
@@ -139,7 +136,6 @@ const std::vector<Study::MicroCharacterization>& Study::microbenchmarks() {
         cc.workers = config_.workers;
         cc.telemetry = config_.telemetry;
         cc.trace = config_.trace;
-        cc.auto_fork = run_options().auto_fork;
         const auto r = fault::run_campaign(*nvbitfi, factory, cc);
         const auto& ks = r.kind(mc.kind);
         if (ks.counts.total() > 0)

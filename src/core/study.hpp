@@ -186,17 +186,10 @@ class Study {
   /// The device's Fig.-3 microbenchmark catalog.
   std::vector<kernels::CatalogEntry> micro_catalog() const;
 
-  virtual ~Study() = default;
-
- protected:
-  /// Execution knobs of every campaign the Study runs — forwarded to
-  /// job::run_job (workers, observability, cache directory, auto-forking)
-  /// and, for auto-forking, to the stage-1 micro campaigns. None is part of
-  /// a spec's content hash, because none can change a result; virtual so a
-  /// harness can vary them and check exactly that.
-  virtual job::RunOptions run_options() const;
-
  private:
+  /// Execution knobs of every job the Study runs (workers, observability,
+  /// cache directory); none is part of a spec's content hash.
+  job::RunOptions run_options() const;
   WorkloadConfig workload_config(double scale, isa::CompilerProfile profile) const;
   std::optional<fault::CampaignResult> run_injection(
       const fault::Injector& injector, const kernels::CatalogEntry& entry,

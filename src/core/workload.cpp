@@ -24,6 +24,16 @@ std::string_view precision_name(Precision p) {
   return "?";
 }
 
+Precision parse_precision(std::string_view s) {
+  if (s == "int" || s == "int32") return Precision::Int32;
+  if (s == "half" || s == "fp16") return Precision::Half;
+  if (s == "single" || s == "fp32") return Precision::Single;
+  if (s == "double" || s == "fp64") return Precision::Double;
+  throw std::invalid_argument(
+      "unknown precision \"" + std::string(s) +
+      "\" (expected int|int32|half|fp16|single|fp32|double|fp64)");
+}
+
 unsigned precision_bytes(Precision p) {
   switch (p) {
     case Precision::Int32: return 4;

@@ -30,6 +30,9 @@ enum class Precision : std::uint8_t { Int32, Half, Single, Double };
 /// Paper naming convention: H/F/D prefix for floating point, none for INT32.
 std::string_view precision_prefix(Precision p);
 std::string_view precision_name(Precision p);
+/// Command-line spelling of a precision: int/int32, half/fp16, single/fp32,
+/// double/fp64. Throws std::invalid_argument on any other name.
+Precision parse_precision(std::string_view s);
 /// Bytes of one element of this precision.
 unsigned precision_bytes(Precision p);
 

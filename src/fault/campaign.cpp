@@ -526,15 +526,14 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   // Checkpoint-fork batching: place up to fork_epochs snapshot marks evenly
   // over the trial's cumulative lane-instruction count (golden run; trials
   // are bit-identical until their injection fires, so the prefix is shared).
-  // Automatic batching picks the epoch count here, before the counting run,
-  // from the golden run length and the budget's upper bound on the trials
-  // this process simulates (kinds without sites and plan-time masked strata
-  // only lower the real count), so its marks ride on that run too.
-  unsigned fork_epochs = config.fork_epochs;
-  if (fork_epochs == 0 && config.auto_fork)
-    fork_epochs = auto_fork_epochs(ref->fork_safe(),
-                                   ref->golden_stats().lane_instructions,
-                                   budgeted_trials(config));
+  // Unless the caller fixed it, the epoch count is chosen here, before the
+  // counting run, from the golden run length and the budget's upper bound on
+  // the trials this process simulates (kinds without sites and plan-time
+  // masked strata only lower the real count), so its marks ride on that run
+  // too.
+  const unsigned fork_epochs = config.fork_epochs.value_or(
+      auto_fork_epochs(ref->fork_safe(), ref->golden_stats().lane_instructions,
+                       budgeted_trials(config)));
   bool forking = fork_epochs > 0 && ref->fork_safe();
   std::vector<std::uint64_t> marks;
   if (forking) {

@@ -164,26 +164,25 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
   /// fork-equivalence tests; leave null otherwise.
   std::vector<core::Outcome>* trial_outcomes_out = nullptr;
 
-  /// Checkpoint-fork trial batching: when > 0 and the workload is fork-safe
+  /// Checkpoint-fork trial batching. When the workload is fork-safe
   /// (core::Workload::fork_safe), the campaign simulates the shared
   /// fault-free prefix once, before workers start, snapshotting device state
-  /// at up to this many evenly spaced epochs; every worker reads that one
-  /// snapshot set, and every trial whose injection fires after an epoch
-  /// resumes from the deepest valid snapshot instead of re-simulating the
-  /// prefix. Each chunk runs sorted by epoch so consecutive trials restore
-  /// only the state the previous suffix touched (delta restores). Per-trial
-  /// RNG draws and outcomes are bit-identical to fork_epochs == 0; only
-  /// wall-clock changes. Ignored (plain execution) for workloads that are
-  /// not fork-safe.
-  unsigned fork_epochs = 0;
-  /// Automatic fork batching: when fork_epochs is 0, fork with
-  /// auto_fork_epochs() epochs, chosen from the golden run length and the
-  /// budget's upper bound on the trials this process simulates (requested
-  /// trials split over the shards, less a resumed prefix), before the
-  /// campaign's fault-free counting run. Bit-identity-neutral like
-  /// fork_epochs; an explicit fork_epochs > 0 wins. The Study turns it on for
-  /// every campaign it runs.
-  bool auto_fork = false;
+  /// at evenly spaced epochs; every worker reads that one snapshot set, and
+  /// every trial whose injection fires after an epoch resumes from the
+  /// deepest valid snapshot instead of re-simulating the prefix. Each chunk
+  /// runs sorted by epoch so consecutive trials restore only the state the
+  /// previous suffix touched (delta restores). The epoch count:
+  ///   - unset (the default): auto_fork_epochs(), chosen from the golden run
+  ///     length and the budget's upper bound on the trials this process
+  ///     simulates (requested trials split over the shards, less a resumed
+  ///     prefix), before the campaign's fault-free counting run;
+  ///   - 0: plain execution, every trial from the start — the reference path
+  ///     the fork-equivalence tests compare against;
+  ///   - N: up to exactly N epochs.
+  /// Per-trial RNG draws and outcomes are bit-identical at every setting;
+  /// only wall-clock changes. Workloads that are not fork-safe always run
+  /// plain.
+  std::optional<unsigned> fork_epochs;
   /// Fault-propagation flight recorder: when true, every executed trial runs
   /// with an obs::PropagationObserver teed behind the injection observer,
   /// producing a per-trial provenance record (emitted as `propagation_record`
@@ -231,11 +230,11 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
 
 using WorkloadFactory = std::function<std::unique_ptr<core::Workload>()>;
 
-/// Automatic fork-epoch rule (CampaignConfig::auto_fork). A forked trial
-/// skips the fault-free prefix up to its epoch, which it would otherwise
-/// simulate with the injection hooks attached (the slow per-lane path); the
-/// price is one hook-free capture run per campaign plus E snapshots held in
-/// memory. The rule:
+/// Automatic fork-epoch rule, used when CampaignConfig::fork_epochs is
+/// unset. A forked trial skips the fault-free prefix up to its epoch, which
+/// it would otherwise simulate with the injection hooks attached (the slow
+/// per-lane path); the price is one hook-free capture run per campaign plus
+/// E snapshots held in memory. The rule:
 ///   - 0 when the workload is not fork-safe;
 ///   - otherwise min(kAutoForkMaxEpochs, golden_lanes /
 ///     kAutoForkLanesPerEpoch, trials): no more epochs than trials can use,

@@ -2,10 +2,11 @@
 // layer, and tests all share: cache lookup → engine execution → cache store,
 // with optional crash-resumable checkpointing for campaign jobs.
 //
-// Execution knobs (workers, schedule, observability, cache directory,
-// checkpoint cadence) live in RunOptions, NOT in the spec: they cannot
-// change results (per-trial seeding), so they must not change the content
-// hash either.
+// Execution knobs (workers, observability, cache directory, checkpoint
+// cadence) live in RunOptions, NOT in the spec: they cannot change results
+// (per-trial seeding), so they must not change the content hash either.
+// Campaign jobs fork with the automatic epoch count
+// (fault::CampaignConfig::fork_epochs unset), which is result-neutral too.
 #pragma once
 
 #include <string>
@@ -31,11 +32,6 @@ struct RunOptions {
   /// Owned trials between checkpoints (campaign jobs; 0 with a non-empty
   /// checkpoint_path defaults to 64).
   unsigned checkpoint_every = 0;
-  /// Campaign jobs only: fork batching with an automatically chosen epoch
-  /// count (fault::CampaignConfig::auto_fork) when the spec sets no
-  /// fork_epochs. Results are bit-identical either way, so like every field
-  /// here it is not part of the spec or its hash.
-  bool auto_fork = false;
 };
 
 /// Execute a spec (cache-aware) and return its result. Throws

@@ -50,9 +50,6 @@ Value spec_to_json(const JobSpec& spec) {
     if (spec.budget.warp_control_injections != 0)
       b.set("warp_control_injections", spec.budget.warp_control_injections);
     c.set("budget", std::move(b));
-    // Only serialized when enabled: hashes of pre-existing specs must not
-    // move just because the field now exists.
-    if (spec.fork_epochs != 0) c.set("fork_epochs", spec.fork_epochs);
     if (spec.propagation) c.set("propagation", spec.propagation);
     v.set("campaign", std::move(c));
   } else {
@@ -117,10 +114,9 @@ JobSpec spec_from_json(const Value& doc) {
     opt_u32("scoreboard_injections", spec.budget.scoreboard_injections);
     opt_u32("cta_injections", spec.budget.cta_injections);
     opt_u32("warp_control_injections", spec.budget.warp_control_injections);
-    // Spec files from before delta restores became unconditional may carry
-    // "fork_delta"; it named no result-changing choice, so it is ignored.
-    if (const Value* fe = c.find("fork_epochs"))
-      spec.fork_epochs = static_cast<unsigned>(fe->as_uint());
+    // Spec files from before execution choices left the spec may carry
+    // "fork_delta" or "fork_epochs"; neither names a result-changing choice,
+    // so both are ignored.
     if (const Value* pr = c.find("propagation")) spec.propagation = pr->as_bool();
   } else {
     const Value& b = doc.at("beam");

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "beam/experiment.hpp"
@@ -59,14 +60,20 @@ TEST(Determinism, CampaignBitIdenticalAcrossWorkerCounts) {
     return std::make_unique<MxM>(cfg(inj->profile()), Precision::Single, 16);
   };
 
-  fault::CampaignConfig cc1 = base;
-  cc1.workers = 1;
-  const auto r1 = fault::run_campaign(*inj, factory, cc1);
-  for (const unsigned workers : {2u, 4u}) {
-    fault::CampaignConfig cc = base;
-    cc.workers = workers;
-    const auto r = fault::run_campaign(*inj, factory, cc);
-    expect_same_campaign(r1, r, "workers");
+  // Both execution paths: the default (forked with the automatic epoch
+  // count) and plain (fork_epochs = 0).
+  for (const std::optional<unsigned> fork_epochs :
+       {std::optional<unsigned>{}, std::optional<unsigned>{0}}) {
+    base.fork_epochs = fork_epochs;
+    fault::CampaignConfig cc1 = base;
+    cc1.workers = 1;
+    const auto r1 = fault::run_campaign(*inj, factory, cc1);
+    for (const unsigned workers : {2u, 4u}) {
+      fault::CampaignConfig cc = base;
+      cc.workers = workers;
+      const auto r = fault::run_campaign(*inj, factory, cc);
+      expect_same_campaign(r1, r, fork_epochs ? "workers, plain" : "workers");
+    }
   }
 }
 

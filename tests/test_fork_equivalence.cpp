@@ -1,12 +1,14 @@
 // Checkpoint-fork equivalence: campaigns executed with fork batching
-// (CampaignConfig::fork_epochs > 0) must reproduce the unforked campaign bit
-// for bit — per-trial outcomes, per-trial simulated cycles, and every
-// aggregate tally — across worker counts and epoch bucketings.
+// (CampaignConfig::fork_epochs unset or > 0) must reproduce the unforked
+// campaign (fork_epochs = 0) bit for bit — per-trial outcomes, per-trial
+// simulated cycles, and every aggregate tally — across worker counts and
+// epoch bucketings.
 // Also pins the Workload-level snapshot contract directly: a trial resumed
 // from a captured prefix with no fault behaves exactly like a fresh trial.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -43,13 +45,12 @@ struct RunOut {
 
 RunOut run(const Injector& inj, const WorkloadFactory& factory,
            const InjectionBudget& budget, unsigned workers,
-           unsigned fork_epochs, bool auto_fork = false) {
+           std::optional<unsigned> fork_epochs) {
   CampaignConfig cc;
   cc.budget() = budget;
   cc.seed = 0xf0f0;
   cc.workers = workers;
   cc.fork_epochs = fork_epochs;
-  cc.auto_fork = auto_fork;
   RunOut out;
   cc.trial_outcomes_out = &out.outcomes;
   cc.trial_cycles_out = &out.cycles;
@@ -239,8 +240,7 @@ TEST(ForkEquivalence, KernelsWithDifferentFootprintsForkAcrossLaunches) {
     for (const unsigned epochs : {3u, 8u})
       expect_same_trials(base,
                          run(*inj, factory, budget, 2, epochs));
-    expect_same_trials(base, run(*inj, factory, budget, 3, 0,
-                                 /*auto_fork=*/true));
+    expect_same_trials(base, run(*inj, factory, budget, 3, std::nullopt));
   }
 }
 

@@ -10,10 +10,12 @@
 #include <vector>
 
 #include "fault/campaign.hpp"
+#include "fault/injector.hpp"
 #include "job/cache.hpp"
 #include "job/result.hpp"
 #include "job/runner.hpp"
 #include "job/serialize.hpp"
+#include "kernels/registry.hpp"
 #include "obs/metrics.hpp"
 
 namespace gpurel::job {
@@ -109,56 +111,52 @@ TEST(JobSpecTest, HashCoversEveryResultDeterminingField) {
   EXPECT_TRUE(differs(s));
 }
 
-// fork_epochs is execution batching, not a result-determining field, but it
-// is recorded in planned specs. It must not disturb the hash of any spec
-// that doesn't use it (every pre-existing spec corpus), and must round-trip
-// and re-hash when it is used.
-TEST(JobSpecTest, ForkEpochsHashesOnlyWhenEnabled) {
-  const JobSpec base = reference_campaign_spec();
-  ASSERT_EQ(base.fork_epochs, 0u);
-  EXPECT_EQ(canonical_json(base).find("fork_epochs"), std::string::npos);
-
-  JobSpec forked = base;
-  forked.fork_epochs = 8;
-  EXPECT_NE(canonical_json(forked).find("\"fork_epochs\":8"),
-            std::string::npos);
-  EXPECT_NE(content_hash(forked), content_hash(base));
-  const JobSpec back =
-      spec_from_json(json::Value::parse(canonical_json(forked)));
-  EXPECT_EQ(back.fork_epochs, 8u);
-  EXPECT_EQ(canonical_json(back), canonical_json(forked));
-}
-
 // Execution choices stay out of the cache key: spec files planned while
-// delta restores were a knob may still carry "fork_delta": false, which
-// named no result, so parsing ignores it and the spec hashes like the
-// default spec.
+// delta restores and fork epochs were spec fields may still carry
+// "fork_delta": false or "fork_epochs": N, which named no result, so parsing
+// ignores them and the spec hashes like the default spec.
 TEST(JobSpecTest, RetiredForkDeltaKeyIsIgnored) {
   const JobSpec base = reference_campaign_spec();
-  json::Value doc = spec_to_json(base);
-  json::Value campaign = doc.at("campaign");
-  campaign.set("fork_delta", false);
-  doc.set("campaign", std::move(campaign));
-  const std::string text = doc.dump();
-  ASSERT_NE(text.find("\"fork_delta\":false"), std::string::npos);
+  for (const auto& [key, value] :
+       {std::pair<const char*, json::Value>{"fork_delta", false},
+        std::pair<const char*, json::Value>{"fork_epochs", 8}}) {
+    json::Value doc = spec_to_json(base);
+    json::Value campaign = doc.at("campaign");
+    campaign.set(key, value);
+    doc.set("campaign", std::move(campaign));
+    const std::string text = doc.dump();
+    ASSERT_NE(text.find(std::string("\"") + key + "\""), std::string::npos);
 
-  const JobSpec parsed = spec_from_json(json::Value::parse(text));
-  EXPECT_EQ(content_hash(parsed), content_hash(base));
-  EXPECT_EQ(cache_key(parsed), cache_key(base));
-  EXPECT_EQ(hash_hex(content_hash(parsed)), "2f8e2c8a0876b1f3");
+    const JobSpec parsed = spec_from_json(json::Value::parse(text));
+    EXPECT_EQ(content_hash(parsed), content_hash(base)) << key;
+    EXPECT_EQ(cache_key(parsed), cache_key(base)) << key;
+    EXPECT_EQ(hash_hex(content_hash(parsed)), "2f8e2c8a0876b1f3") << key;
+  }
 }
 
-// Fork batching only changes wall-clock: the campaign portion of a
-// fork-batched job is byte-identical to the plain job's.
+// Campaign jobs fork by default, which only changes wall-clock: the job's
+// campaign result is byte-identical to a plain (fork_epochs = 0) campaign.
 TEST(JobShardTest, ForkBatchedJobReproducesPlainResult) {
-  const JobSpec plain = reference_campaign_spec();
-  JobSpec forked = plain;
-  forked.fork_epochs = 6;
-  const JobResult a = run_job(plain);
-  const JobResult b = run_job(forked);
-  ASSERT_TRUE(a.campaign && b.campaign);
-  EXPECT_EQ(campaign_result_to_json(*a.campaign).dump(),
-            campaign_result_to_json(*b.campaign).dump());
+  const JobSpec spec = reference_campaign_spec();
+  obs::Counter& snapshots =
+      obs::Registry::global().counter("gpurel_campaign_snapshots_total");
+  const std::uint64_t before = snapshots.value();
+  const JobResult forked = run_job(spec);
+  EXPECT_GT(snapshots.value(), before);
+
+  const core::WorkloadConfig wc{spec.device, spec.profile, spec.input_seed,
+                                spec.scale};
+  fault::CampaignConfig cc;
+  cc.budget() = spec.budget;
+  cc.seed = spec.seed;
+  cc.fork_epochs = 0;
+  const fault::CampaignResult plain = fault::run_campaign(
+      *fault::make_injector(spec.injector),
+      kernels::workload_factory(spec.entry.base, spec.entry.precision, wc),
+      cc);
+  ASSERT_TRUE(forked.campaign);
+  EXPECT_EQ(campaign_result_to_json(*forked.campaign).dump(),
+            campaign_result_to_json(plain).dump());
 }
 
 TEST(JobSpecTest, RoundTripsThroughJson) {

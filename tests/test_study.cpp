@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/bits.hpp"
 #include "core/report.hpp"
 #include "core/study.hpp"
 #include "obs/metrics.hpp"
@@ -32,21 +33,6 @@ StudyConfig tiny_config() {
   return c;
 }
 
-// A Study whose campaigns never fork: auto-forking is an execution knob of
-// job::RunOptions, so turning it off must change neither a result nor a job
-// cache key.
-class NoForkStudy final : public Study {
- public:
-  using Study::Study;
-
- protected:
-  job::RunOptions run_options() const override {
-    job::RunOptions opts = Study::run_options();
-    opts.auto_fork = false;
-    return opts;
-  }
-};
-
 std::set<std::string> cache_entries(const std::filesystem::path& dir) {
   std::set<std::string> names;
   for (const auto& e : std::filesystem::directory_iterator(dir))
@@ -54,57 +40,62 @@ std::set<std::string> cache_entries(const std::filesystem::path& dir) {
   return names;
 }
 
-TEST(Study, AutoForkChangesNeitherReportsNorCacheKeys) {
-  // Stage 1 (micro campaigns), one fork-safe code (FMXM) and one that is
-  // not (QUICKSORT, host-stepped): the forking Study must take snapshots in
-  // stage 1 and for FMXM but none for QUICKSORT, and produce byte-identical
-  // reports and the same cache entries as a Study that never forks.
+TEST(Study, ReportsMatchDigestsRecordedUnforked) {
+  // FNV-1a digests of code_report_json and the job cache file names,
+  // recorded while the Study's campaigns still ran plain: forking (which
+  // every campaign now does when its workload allows it) must move neither a
+  // report byte nor a cache key. Covers stage 1 (micro campaigns), one
+  // fork-safe code (FMXM) and one that is not (QUICKSORT, host-stepped):
+  // stage 1 and FMXM take snapshots, QUICKSORT takes none.
   const std::filesystem::path root =
-      std::filesystem::path(testing::TempDir()) / "gpurel_study_auto_fork";
+      std::filesystem::path(testing::TempDir()) / "gpurel_study_digests";
   std::filesystem::remove_all(root);
-  StudyConfig forked_cfg = tiny_config();
-  forked_cfg.micro_beam_runs = 20;
-  forked_cfg.app_beam_runs = 20;
-  forked_cfg.injections_per_kind = 6;
-  forked_cfg.micro_injections_per_kind = 6;
-  forked_cfg.rf_injections = 6;
-  forked_cfg.store_value_injections = 4;
-  forked_cfg.store_addr_injections = 4;
-  forked_cfg.sched_injections = 4;
-  forked_cfg.scoreboard_injections = 4;
-  forked_cfg.cta_injections = 4;
-  forked_cfg.warp_control_injections = 4;
-  forked_cfg.app_scale = 0.2;
-  forked_cfg.workers = 2;
-  StudyConfig plain_cfg = forked_cfg;
-  forked_cfg.cache_dir = (root / "forked").string();
-  plain_cfg.cache_dir = (root / "plain").string();
-  Study forked(arch::GpuConfig::kepler_k40c(2), forked_cfg);
-  NoForkStudy plain(arch::GpuConfig::kepler_k40c(2), plain_cfg);
+  StudyConfig cfg = tiny_config();
+  cfg.micro_beam_runs = 20;
+  cfg.app_beam_runs = 20;
+  cfg.injections_per_kind = 6;
+  cfg.micro_injections_per_kind = 6;
+  cfg.rf_injections = 6;
+  cfg.store_value_injections = 4;
+  cfg.store_addr_injections = 4;
+  cfg.sched_injections = 4;
+  cfg.scoreboard_injections = 4;
+  cfg.cta_injections = 4;
+  cfg.warp_control_injections = 4;
+  cfg.app_scale = 0.2;
+  cfg.workers = 2;
+  cfg.cache_dir = root.string();
+  Study study(arch::GpuConfig::kepler_k40c(2), cfg);
 
   obs::Counter& snapshots =
       obs::Registry::global().counter("gpurel_campaign_snapshots_total");
   const std::uint64_t before_stage1 = snapshots.value();
-  forked.fit_inputs();
+  study.fit_inputs();
   EXPECT_GT(snapshots.value(), before_stage1);
-  const std::uint64_t after_stage1 = snapshots.value();
-  plain.fit_inputs();
-  EXPECT_EQ(snapshots.value(), after_stage1);
-  for (const kernels::CatalogEntry& e :
-       {kernels::CatalogEntry{"MXM", Precision::Single},
-        kernels::CatalogEntry{"QUICKSORT", Precision::Int32}}) {
-    const std::uint64_t s0 = snapshots.value();
-    const std::string a = code_report_json(forked.evaluate(e)).dump();
-    const std::uint64_t s1 = snapshots.value();
-    const std::string b = code_report_json(plain.evaluate(e)).dump();
-    EXPECT_EQ(snapshots.value(), s1) << e.base;  // the plain Study never forks
-    if (e.base == "MXM") EXPECT_GT(s1, s0);
-    else EXPECT_EQ(s1, s0) << "QUICKSORT is not fork-safe";
-    EXPECT_EQ(a, b) << e.base;
-  }
-  const std::set<std::string> keys = cache_entries(root / "forked");
-  EXPECT_FALSE(keys.empty());
-  EXPECT_EQ(keys, cache_entries(root / "plain"));
+  const std::uint64_t s0 = snapshots.value();
+  EXPECT_EQ(fnv1a64(code_report_json(
+                        study.evaluate({"MXM", Precision::Single}))
+                        .dump()),
+            0xf9ca4ff3644b69c1u);
+  const std::uint64_t s1 = snapshots.value();
+  EXPECT_GT(s1, s0);
+  EXPECT_EQ(fnv1a64(code_report_json(
+                        study.evaluate({"QUICKSORT", Precision::Int32}))
+                        .dump()),
+            0x266552c163acb40cu);
+  EXPECT_EQ(snapshots.value(), s1) << "QUICKSORT is not fork-safe";
+  EXPECT_EQ(cache_entries(root), (std::set<std::string>{
+                                     "04e54eb8ac0fe270-gpurel-engine-6.json",
+                                     "13c41406da39ae52-gpurel-engine-6.json",
+                                     "247ff2de297b8e9c-gpurel-engine-6.json",
+                                     "33101b0aa94a0b29-gpurel-engine-6.json",
+                                     "35321faad287ad78-gpurel-engine-6.json",
+                                     "564d15ad80dd974e-gpurel-engine-6.json",
+                                     "73db27f2af4312b5-gpurel-engine-6.json",
+                                     "bbc47926414e2ba2-gpurel-engine-6.json",
+                                     "c916e9c6457074e8-gpurel-engine-6.json",
+                                     "ec3ae8743598da07-gpurel-engine-6.json",
+                                 }));
   std::filesystem::remove_all(root);
 }
 

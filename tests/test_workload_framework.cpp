@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "core/workload.hpp"
@@ -130,6 +131,21 @@ TEST(WorkloadFramework, FirstDueKindWins) {
   runner.force_due(sim::DueKind::InvalidAddress);
   runner.force_due(sim::DueKind::Watchdog);
   EXPECT_EQ(runner.stats().due, sim::DueKind::InvalidAddress);
+}
+
+// Regression: the command-line precision parsers mapped any unknown name to
+// FP32, so a typo planned, ran and cached a different job.
+TEST(WorkloadFramework, ParsePrecisionAcceptsOnlyKnownSpellings) {
+  EXPECT_EQ(parse_precision("int"), Precision::Int32);
+  EXPECT_EQ(parse_precision("int32"), Precision::Int32);
+  EXPECT_EQ(parse_precision("half"), Precision::Half);
+  EXPECT_EQ(parse_precision("fp16"), Precision::Half);
+  EXPECT_EQ(parse_precision("single"), Precision::Single);
+  EXPECT_EQ(parse_precision("fp32"), Precision::Single);
+  EXPECT_EQ(parse_precision("double"), Precision::Double);
+  EXPECT_EQ(parse_precision("fp64"), Precision::Double);
+  for (const char* bad : {"fp32x", "", "FP32", "float", "singl"})
+    EXPECT_THROW(parse_precision(bad), std::invalid_argument) << bad;
 }
 
 // --- adversarial sorting inputs -------------------------------------------

@@ -12,6 +12,9 @@
 //              --out=out/mxm.0.json --workers=4 --cache-dir=$GPUREL_CACHE
 //              --checkpoint=out/mxm.0.ckpt --checkpoint-every=64
 //              --metrics-out=out/metrics.json
+//          Campaign jobs fork their trials off shared fault-free snapshots
+//          with an automatic epoch count; results and cache keys are those
+//          of plain execution.
 //
 //   merge  fold per-shard result files into the unsharded result:
 //            gpurel_jobs merge --out=out/mxm.json out/mxm.*.json
@@ -49,7 +52,7 @@ int usage() {
                "        [--injector=SASSIFI|NVBitFI|MicroArch --injections=N\n"
                "         --rf=N --pred=N --ia=N --store-value=N --store-addr=N\n"
                "         --sched=N --scoreboard=N --cta=N --warp-control=N\n"
-               "         --fork-epochs=N --propagation]\n"
+               "         --propagation]\n"
                "        [--ecc[=false] --mode=accelerated|natural --runs=N\n"
                "         --flux-scale=X]\n"
                "        [--seed=N --input-seed=N --scale=X]\n"
@@ -60,13 +63,6 @@ int usage() {
                "  merge --out=FILE SHARD_RESULT.json...\n"
                "  report RESULT.json\n");
   return 1;
-}
-
-core::Precision parse_precision(const std::string& s) {
-  if (s == "int" || s == "int32") return core::Precision::Int32;
-  if (s == "half" || s == "fp16") return core::Precision::Half;
-  if (s == "double" || s == "fp64") return core::Precision::Double;
-  return core::Precision::Single;
 }
 
 std::string slurp(const std::string& path) {
@@ -91,12 +87,12 @@ int cmd_plan(const Cli& cli) {
   const std::string kind = cli.get("kind", "campaign");
   if (kind != "campaign" && kind != "beam") return usage();
 
-  const unsigned sm = static_cast<unsigned>(cli.get_int("sm", 2));
+  const unsigned sm = cli.get_uint("sm", 2);
   spec.device = cli.get("arch", "kepler") == "volta"
                     ? arch::GpuConfig::volta_v100(sm)
                     : arch::GpuConfig::kepler_k40c(sm);
   spec.entry = {cli.get("code", "MXM"),
-                parse_precision(cli.get("precision", "single"))};
+                core::parse_precision(cli.get("precision", "single"))};
   spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
   spec.input_seed =
       static_cast<std::uint64_t>(cli.get_int("input-seed", 0x5eed));
@@ -108,20 +104,16 @@ int cmd_plan(const Cli& cli) {
     // The registry resolves the compiler profile (and rejects unknown names
     // with the list of registered injectors).
     spec.profile = fault::make_injector(spec.injector)->profile();
-    auto u = [&](const char* flag, std::int64_t def) {
-      return static_cast<unsigned>(cli.get_int(flag, def));
-    };
-    spec.budget.injections_per_kind = u("injections", 120);
-    spec.budget.rf_injections = u("rf", 0);
-    spec.budget.pred_injections = u("pred", 0);
-    spec.budget.ia_injections = u("ia", 0);
-    spec.budget.store_value_injections = u("store-value", 0);
-    spec.budget.store_addr_injections = u("store-addr", 0);
-    spec.budget.sched_injections = u("sched", 0);
-    spec.budget.scoreboard_injections = u("scoreboard", 0);
-    spec.budget.cta_injections = u("cta", 0);
-    spec.budget.warp_control_injections = u("warp-control", 0);
-    spec.fork_epochs = u("fork-epochs", 0);
+    spec.budget.injections_per_kind = cli.get_uint("injections", 120);
+    spec.budget.rf_injections = cli.get_uint("rf", 0);
+    spec.budget.pred_injections = cli.get_uint("pred", 0);
+    spec.budget.ia_injections = cli.get_uint("ia", 0);
+    spec.budget.store_value_injections = cli.get_uint("store-value", 0);
+    spec.budget.store_addr_injections = cli.get_uint("store-addr", 0);
+    spec.budget.sched_injections = cli.get_uint("sched", 0);
+    spec.budget.scoreboard_injections = cli.get_uint("scoreboard", 0);
+    spec.budget.cta_injections = cli.get_uint("cta", 0);
+    spec.budget.warp_control_injections = cli.get_uint("warp-control", 0);
     spec.propagation = cli.get_bool("propagation", false);
   } else {
     spec.kind = job::JobKind::Beam;
@@ -130,11 +122,11 @@ int cmd_plan(const Cli& cli) {
     spec.mode = cli.get("mode", "accelerated") == "natural"
                     ? beam::BeamMode::Natural
                     : beam::BeamMode::Accelerated;
-    spec.runs = static_cast<unsigned>(cli.get_int("runs", 200));
+    spec.runs = cli.get_uint("runs", 200);
     spec.flux_scale = cli.get_double("flux-scale", 1.0);
   }
 
-  const unsigned shards = static_cast<unsigned>(cli.get_int("shards", 1));
+  const unsigned shards = cli.get_uint("shards", 1);
   const std::string prefix = cli.get("out");
   if (shards == 0 || prefix.empty()) return usage();
 
@@ -165,14 +157,12 @@ int cmd_run(const Cli& cli) {
 
   obs::Exporter exporter(cli.get("metrics-out"), cli.get("trace-out"));
   job::RunOptions opts;
-  opts.workers =
-      static_cast<unsigned>(cli.get_int_env("workers", "GPUREL_WORKERS", 1));
+  opts.workers = cli.get_uint("workers", 1, "GPUREL_WORKERS");
   opts.context.trace = exporter.trace();
   opts.context.progress = cli.get_bool_env("progress", "GPUREL_PROGRESS", false);
   opts.cache_dir = cli.get("cache-dir");  // empty → GPUREL_CACHE → disabled
   opts.checkpoint_path = cli.get("checkpoint");
-  opts.checkpoint_every =
-      static_cast<unsigned>(cli.get_int("checkpoint-every", 0));
+  opts.checkpoint_every = cli.get_uint("checkpoint-every", 0);
 
   const job::JobResult result = job::run_job(spec, opts);
   write_doc(out_path, job::result_to_json(result));
