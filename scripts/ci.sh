@@ -169,6 +169,35 @@ print("fork smoke OK: 1/2-worker results byte-identical, one shared "
       "8-epoch snapshot capture per run")
 EOF
 
+echo "==> beam fork smoke (accelerated beam runs fork; 1/2 workers byte-identical)"
+# Accelerated beam runs fork with the same automatic rule, counted over the
+# runs that need simulation: MXM-F (cuda10) at scale 0.05 has a 26,112-lane
+# golden run, and with ECC off all but the immediately resolved hidden
+# strikes of the 60 runs simulate, so min(8, 26112/6144, simulated) = 4
+# epochs. The forked-vs-unforked byte check lives in tests/test_beam.cpp
+# (Beam.ForkedRunsMatchDigestsRecordedUnforked). Here, a 1- and a 2-worker
+# run must each emit exactly one beam_snapshot_capture event and write the
+# same bytes.
+"${JOBS_BIN}" plan --kind=beam --arch=kepler --code=MXM --precision=single \
+  --ecc=false --runs=60 --seed=13 --scale=0.05 --out="${JOB_DIR}/bmxm" >/dev/null
+for w in 1 2; do
+  GPUREL_TELEMETRY="${JOB_DIR}/bfork.${w}.jsonl" \
+    "${JOBS_BIN}" run --spec="${JOB_DIR}/bmxm.shard0of1.json" \
+    --out="${JOB_DIR}/bmxm.${w}.out.json" --workers="${w}" >/dev/null
+done
+cmp "${JOB_DIR}/bmxm.1.out.json" "${JOB_DIR}/bmxm.2.out.json"
+python3 - "${JOB_DIR}" <<'EOF'
+import json, sys
+d = sys.argv[1]
+for w in (1, 2):
+    evs = [json.loads(l) for l in open(f"{d}/bfork.{w}.jsonl") if l.strip()]
+    caps = [e for e in evs if e.get("event") == "beam_snapshot_capture"]
+    assert len(caps) == 1, f"{w} worker(s): expected 1 capture, got {len(caps)}"
+    assert caps[0]["epochs"] == 4 and caps[0]["image_bytes"] > 0, caps[0]
+print("beam fork smoke OK: 1/2-worker results byte-identical, one shared "
+      "4-epoch snapshot capture per run")
+EOF
+
 echo "==> propagation smoke (provenance JSONL + outcome-identical to plain)"
 # The same campaign planned plain and with the propagation flight recorder:
 # the instrumented run must emit schema-versioned per-trial records and an
@@ -250,19 +279,21 @@ print(f"microarch smoke OK: 40 strikes over 4 classes, {dues} DUEs "
       f"({causes})")
 EOF
 
-echo "==> ThreadSanitizer quick leg (thread pool + campaign determinism + fork)"
+echo "==> ThreadSanitizer quick leg (thread pool + campaign/beam determinism + fork)"
 # Always-on subset of the full tsan preset: the tests that exercise the
 # worker pool, the cross-worker bit-identity contract, the shared snapshot
-# pool (read-only snapshot set + per-worker delta restores across workers),
-# and the multi-worker MicroArch campaigns (machine-state strikes from
-# worker threads). The preset's ctest filter covers more binaries; build and
-# run just these four here, plus the Study's digest test (forked stage-1 and
-# job-layer campaigns on two workers) on its own.
+# sets of campaigns and beam runs (read-only snapshots + per-worker delta
+# restores across workers), and the multi-worker MicroArch campaigns
+# (machine-state strikes from worker threads). The preset's ctest filter
+# covers more binaries; build and run just these five here, plus the Study's
+# digest test (forked stage-1 and job-layer campaigns on two workers) on its
+# own.
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}" --target \
   test_thread_pool test_determinism test_fork_equivalence test_microarch \
-  test_study
-ctest --test-dir build-tsan -R '^test_(thread_pool|determinism|fork_equivalence|microarch)$' \
+  test_beam test_study
+ctest --test-dir build-tsan \
+  -R '^test_(thread_pool|determinism|fork_equivalence|microarch|beam)$' \
   -j "${JOBS}" --output-on-failure
 ./build-tsan/tests/test_study \
   --gtest_filter='Study.ReportsMatchDigestsRecordedUnforked'

@@ -1,6 +1,7 @@
 #include "beam/experiment.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <vector>
 
@@ -71,7 +72,6 @@ namespace {
 constexpr std::size_t kKinds = static_cast<std::size_t>(UnitKind::kCount);
 constexpr std::size_t kTargets = static_cast<std::size_t>(StrikeTarget::kCount);
 
-
 /// One planned strike, fully determined before the trial starts so that
 /// trials replay bit-identically.
 struct StrikePlan {
@@ -88,41 +88,94 @@ struct StrikePlan {
   bool hidden_sdc = false;        // Hidden: corrupt state (else handled outside)
 };
 
+/// A run's position along every strike domain: lanes issued per unit kind
+/// (the issue domain FU strike indices are sampled from, golden
+/// lane_per_unit), the warp- and block-cycle integrals (RF, SH) and the
+/// cycles of completed launches (GL, Hidden). The strike observer and the
+/// capture-pass recorder advance it with the same code, so a clock recorded
+/// at a fork boundary is bit-identical to the one an unforked run holds
+/// there.
+struct StrikeClock {
+  std::array<std::uint64_t, kKinds> lanes{};
+  double warp = 0.0;
+  double block = 0.0;
+  std::uint64_t launch_cycles = 0;
+
+  /// Counts the issue's lanes; returns the index of its first lane.
+  std::uint64_t issue(const sim::WarpIssue& wi) {
+    std::uint64_t& n =
+        lanes[static_cast<std::size_t>(isa::unit_kind(wi.instr->op))];
+    const std::uint64_t first = n;
+    n += static_cast<unsigned>(std::popcount(wi.exec_mask));
+    return first;
+  }
+  void advance(std::uint64_t from, std::uint64_t to, const sim::Machine& m) {
+    const double delta = static_cast<double>(to - from);
+    warp += delta * static_cast<double>(m.live_warp_count());
+    block += delta * static_cast<double>(m.live_block_count());
+  }
+  void launch_end(const sim::LaunchStats& st) { launch_cycles += st.cycles; }
+};
+
 /// Applies planned strikes during a trial.
 class BeamObserver final : public sim::SimObserver {
  public:
   BeamObserver(std::vector<StrikePlan> plans, unsigned max_regs)
-      : plans_(std::move(plans)), max_regs_(std::max(1u, max_regs)) {}
+      : plans_(std::move(plans)), max_regs_(std::max(1u, max_regs)) {
+    for (const StrikePlan& p : plans_)
+      if (p.target == StrikeTarget::FunctionalUnit) ++unfired_fu_;
+  }
 
-  // One-shot, like the campaign's InjectionObserver: once every planned
-  // strike has fired and no operand restore or output strike is pending,
-  // every later hook call would be a no-op, so all claims are dropped and
-  // the rest of the trial runs on the bare whole-warp paths.
+  /// A forked run resumes at a fork boundary with the clock an unforked run
+  /// holds there.
+  void preset(const StrikeClock& clock) { clock_ = clock; }
+
+  // Target-scoped claims: each unfired plan claims only what it needs to
+  // find its strike — time advances for RF / SH / GL / Hidden, warp issues
+  // for FU — and the per-lane hooks are claimed only for the one issue that
+  // holds an FU target lane (the executor re-reads the claims right after
+  // on_warp_issue) and while an operand restore or output strike is
+  // pending. Everything else runs on the bare whole-warp paths; once every
+  // strike has fired no hook is claimed at all.
   unsigned wants() const override {
-    if (unfired_ == 0 && !restore_pending_ && pending_plan_ < 0) return 0u;
-    return kWantsBeforeExec | kWantsAfterExec | kWantsTimeAdvance;
+    unsigned w = 0;
+    if (unfired_fu_ > 0) w |= kWantsWarpIssue;
+    if (unfired_ > unfired_fu_) w |= kWantsTimeAdvance;
+    if ((armed_ && unfired_fu_ > 0) || restore_pending_ || pending_plan_ >= 0)
+      w |= kWantsBeforeExec | kWantsAfterExec;
+    return w;
   }
 
-  void on_launch_begin(const sim::LaunchInfo&, sim::Machine& m) override {
-    machine_ = &m;
-  }
   void on_launch_end(const sim::LaunchStats& st) override {
-    cycle_offset_ += st.cycles;
+    clock_.launch_end(st);
   }
 
-  // Lane-execution counting happens in before_exec (which the executor calls
-  // exactly once per executed lane, before any lane of the instruction runs).
+  void on_warp_issue(const sim::WarpIssue& wi) override {
+    next_lane_ = clock_.issue(wi);
+    const auto kind = isa::unit_kind(wi.instr->op);
+    const std::uint64_t end = clock_.lanes[static_cast<std::size_t>(kind)];
+    armed_ = false;
+    for (std::size_t i = 0; i < plans_.size() && !armed_; ++i) {
+      const StrikePlan& p = plans_[i];
+      armed_ = !fired_[i] && p.target == StrikeTarget::FunctionalUnit &&
+               p.unit == kind && p.index >= next_lane_ && p.index < end;
+    }
+  }
+
+  // The executor calls before_exec once per executed lane of a claimed
+  // issue, in lane order, before any lane of the instruction runs, so the
+  // lane-execution index continues from the issue's first lane.
   // Output strikes are *scheduled* here and fired in the matching after_exec;
   // address / store-data strikes corrupt the source operand immediately and
   // restore it in the matching after_exec (the strike hits the unit's
   // operand latch, not the register file).
   void before_exec(sim::ExecContext& ctx) override {
-    const auto kind_idx = static_cast<std::size_t>(isa::unit_kind(ctx.instr->op));
-    const std::uint64_t my_index = fu_counts_[kind_idx]++;
+    const auto kind = isa::unit_kind(ctx.instr->op);
+    const std::uint64_t my_index = next_lane_++;
     for (std::size_t i = 0; i < plans_.size(); ++i) {
       StrikePlan& p = plans_[i];
       if (fired_[i] || p.target != StrikeTarget::FunctionalUnit) continue;
-      if (static_cast<std::size_t>(p.unit) != kind_idx) continue;
+      if (p.unit != kind) continue;
       if (p.index != my_index) continue;
       mark_fired(i);
       if (p.addr_path || store_value_path(*ctx.instr)) {
@@ -167,13 +220,13 @@ class BeamObserver final : public sim::SimObserver {
 
   void on_time_advance(std::uint64_t from, std::uint64_t to,
                        sim::Machine& m) override {
-    const double delta = static_cast<double>(to - from);
-    const double warp_before = warp_integral_;
-    const double block_before = block_integral_;
-    warp_integral_ += delta * static_cast<double>(m.live_warp_count());
-    block_integral_ += delta * static_cast<double>(m.live_block_count());
-    const std::uint64_t cyc_before = cycle_offset_ + from;
-    const std::uint64_t cyc_after = cycle_offset_ + to;
+    const double warp_before = clock_.warp;
+    const double block_before = clock_.block;
+    clock_.advance(from, to, m);
+    const double warp_after = clock_.warp;
+    const double block_after = clock_.block;
+    const std::uint64_t cyc_before = clock_.launch_cycles + from;
+    const std::uint64_t cyc_after = clock_.launch_cycles + to;
 
     for (std::size_t i = 0; i < plans_.size(); ++i) {
       if (fired_[i]) continue;
@@ -181,7 +234,7 @@ class BeamObserver final : public sim::SimObserver {
       Rng rng(p.rand);
       switch (p.target) {
         case StrikeTarget::RegisterFile: {
-          if (!(p.warp_pos >= warp_before && p.warp_pos < warp_integral_)) break;
+          if (!(p.warp_pos >= warp_before && p.warp_pos < warp_after)) break;
           if (m.live_warp_count() == 0) break;
           const auto w = rng.uniform_u64(m.live_warp_count());
           const auto lane = static_cast<unsigned>(rng.uniform_u64(32));
@@ -194,7 +247,7 @@ class BeamObserver final : public sim::SimObserver {
           break;
         }
         case StrikeTarget::SharedMem: {
-          if (!(p.block_pos >= block_before && p.block_pos < block_integral_)) break;
+          if (!(p.block_pos >= block_before && p.block_pos < block_after)) break;
           if (m.live_block_count() == 0) break;
           auto& sh = m.live_block_shared(rng.uniform_u64(m.live_block_count()));
           if (sh.bits() == 0) break;
@@ -242,6 +295,7 @@ class BeamObserver final : public sim::SimObserver {
   void mark_fired(std::size_t i) {
     fired_[i] = true;
     --unfired_;
+    if (plans_[i].target == StrikeTarget::FunctionalUnit) --unfired_fu_;
   }
 
   static bool store_value_path(const isa::Instr& in) {
@@ -267,12 +321,13 @@ class BeamObserver final : public sim::SimObserver {
   std::vector<StrikePlan> plans_;
   std::vector<bool> fired_ = std::vector<bool>(plans_.size(), false);
   std::size_t unfired_ = plans_.size();
+  std::size_t unfired_fu_ = 0;
   unsigned max_regs_;
-  sim::Machine* machine_ = nullptr;
-  std::array<std::uint64_t, kKinds> fu_counts_{};
-  double warp_integral_ = 0.0;
-  double block_integral_ = 0.0;
-  std::uint64_t cycle_offset_ = 0;
+  StrikeClock clock_;
+  // FU: the current issue holds an unfired plan's target lane, and the
+  // lane-execution index of its next lane.
+  bool armed_ = false;
+  std::uint64_t next_lane_ = 0;
   // Operand save/restore for address/store-data strikes.
   bool restore_pending_ = false;
   std::uint8_t saved_reg_ = 0;
@@ -283,6 +338,67 @@ class BeamObserver final : public sim::SimObserver {
   sim::ThreadRegs* pending_regs_ = nullptr;
   std::uint32_t pending_pc_ = 0;
 };
+
+/// A fork point of an accelerated beam experiment: the strike clock an
+/// unforked run holds at one snapshot's boundary, and the boundary's
+/// cumulative trial cycle.
+struct ForkPoint {
+  StrikeClock clock;
+  std::uint64_t cycle = 0;
+};
+
+/// Rides on the engine's capture pass and records one ForkPoint per
+/// snapshot mark. The executor snapshots at the end of the first cycle whose
+/// cumulative issued lanes reach a mark, right before it delivers the next
+/// time advance (or, for a mark a launch's last cycle crosses, the launch
+/// end), so the recorder flushes at exactly those two points, before its
+/// clock moves on.
+class ForkPointRecorder final : public sim::SimObserver {
+ public:
+  explicit ForkPointRecorder(const std::vector<std::uint64_t>& marks)
+      : marks_(marks) {}
+
+  unsigned wants() const override { return kWantsWarpIssue | kWantsTimeAdvance; }
+
+  void on_warp_issue(const sim::WarpIssue& wi) override {
+    clock_.issue(wi);
+    lanes_ += static_cast<unsigned>(std::popcount(wi.exec_mask));
+  }
+  void on_time_advance(std::uint64_t from, std::uint64_t to,
+                       sim::Machine& m) override {
+    flush(from);
+    clock_.advance(from, to, m);
+  }
+  void on_launch_end(const sim::LaunchStats& st) override {
+    flush(st.cycles);
+    clock_.launch_end(st);
+  }
+
+  std::vector<ForkPoint> points;
+
+ private:
+  void flush(std::uint64_t cycle) {
+    while (points.size() < marks_.size() && marks_[points.size()] <= lanes_)
+      points.push_back({clock_, clock_.launch_cycles + cycle});
+  }
+
+  const std::vector<std::uint64_t>& marks_;
+  StrikeClock clock_;
+  std::uint64_t lanes_ = 0;  // issue-domain lanes over all launches
+};
+
+/// Whether a run resumed at `f` still meets its strike: every window of the
+/// skipped prefix ends at or before the strike's position, so the strike
+/// lands in the resumed suffix (FU: the target lane is issued after it).
+bool strike_follows(const ForkPoint& f, const StrikePlan& p) {
+  switch (p.target) {
+    case StrikeTarget::FunctionalUnit:
+      return f.clock.lanes[static_cast<std::size_t>(p.unit)] <= p.index;
+    case StrikeTarget::RegisterFile: return f.clock.warp <= p.warp_pos;
+    case StrikeTarget::SharedMem: return f.clock.block <= p.block_pos;
+    default: return f.cycle <= p.cycle_pos;  // GL, Hidden
+  }
+}
 
 struct Weights {
   std::array<double, kKinds> unit{};
@@ -308,15 +424,20 @@ Weights compute_weights(const CrossSectionDb& db, const ExposureBreakdown& e) {
 }  // namespace
 
 namespace detail {
-std::unique_ptr<sim::SimObserver> unit_strike_observer(UnitKind unit,
-                                                       std::uint64_t index,
-                                                       std::uint64_t rand,
-                                                       unsigned max_regs) {
+std::unique_ptr<sim::SimObserver> strike_observer(StrikeTarget target,
+                                                  std::uint64_t position,
+                                                  std::uint64_t rand,
+                                                  unsigned max_regs,
+                                                  UnitKind unit) {
   StrikePlan p;
-  p.target = StrikeTarget::FunctionalUnit;
+  p.target = target;
   p.unit = unit;
-  p.index = index;
+  p.index = position;
+  p.warp_pos = static_cast<double>(position);
+  p.block_pos = static_cast<double>(position);
+  p.cycle_pos = position;
   p.rand = rand;
+  p.hidden_sdc = true;
   return std::make_unique<BeamObserver>(std::vector<StrikePlan>{p}, max_regs);
 }
 }  // namespace detail
@@ -324,8 +445,6 @@ std::unique_ptr<sim::SimObserver> unit_strike_observer(UnitKind unit,
 ExposureBreakdown compute_exposure(const core::Workload& w,
                                    std::uint64_t allocated_bits) {
   const sim::LaunchStats& st = w.golden_stats();
-  const arch::GpuConfig& gpu = w.config().gpu;
-  (void)gpu;
   ExposureBreakdown e;
   e.unit_busy = st.lane_busy_per_unit;  // lanes x actual opcode latency
   e.rf_bit_cycles = st.warp_cycles * 32.0 * w.max_regs_per_thread() * 32.0;
@@ -482,6 +601,57 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
     for (auto& sd : seeds) sd = splitmix64(salt);
   }
 
+  // Accelerated runs draw their one strike up front, so the fork planner
+  // below sees every strike; a run draws nothing else.
+  const bool accelerated = config.mode == BeamMode::Accelerated;
+  std::vector<Sampled> samples(accelerated ? config.runs : 0);
+  std::uint64_t simulated = 0;
+  if (accelerated)
+    for (const std::size_t r : owned) {
+      Rng rng(seeds[r]);
+      samples[r] = sample_strike(rng);
+      if (!samples[r].immediate) ++simulated;
+    }
+
+  // Fork batching: an accelerated run is the fault-free trial until its
+  // strike lands, so one fault-free pass captures snapshots at evenly placed
+  // marks (TrialEngine::capture), a recorder on the same pass notes the
+  // strike clock at each, and every simulated run resumes from the deepest
+  // snapshot strictly before its strike with its observer preset to that
+  // clock. -1 = simulate from the start. Natural-mode runs carry several
+  // strikes and stay plain.
+  std::vector<ForkPoint> points;
+  std::vector<int> run_epoch;
+  if (accelerated) {
+    const std::vector<std::uint64_t> marks = fault::TrialEngine::even_marks(
+        golden.lane_instructions,
+        fault::auto_fork_epochs(ref->fork_safe(), golden.lane_instructions,
+                                simulated));
+    if (!marks.empty()) {
+      ForkPointRecorder recorder(marks);
+      const std::vector<sim::Snapshot>& snaps = engine.capture(marks, &recorder);
+      // Defensive: a recorder out of step with the snapshots disables
+      // forking, not runs.
+      bool in_step = recorder.points.size() == snaps.size();
+      for (std::size_t e = 0; in_step && e < snaps.size(); ++e)
+        in_step = recorder.points[e].cycle ==
+                  snaps[e].prior.cycles + snaps[e].exec.cycle;
+      if (in_step) points = std::move(recorder.points);
+    }
+    if (!points.empty()) {
+      run_epoch.assign(config.runs, -1);
+      for (const std::size_t r : owned) {
+        if (samples[r].immediate) continue;
+        int e = -1;
+        while (e + 1 < static_cast<int>(points.size()) &&
+               strike_follows(points[static_cast<std::size_t>(e + 1)],
+                              samples[r].plan))
+          ++e;
+        run_epoch[r] = e;
+      }
+    }
+  }
+
   // Per-run records, tallied serially afterwards (bit-identical results for
   // any worker count).
   std::vector<core::Outcome> outcomes(config.runs, core::Outcome::Masked);
@@ -490,19 +660,24 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
 
   auto run_one = [&](fault::TrialWorker& st, std::size_t r) {
     const telemetry::Timer run_wall;
-    Rng rng(seeds[r]);
-    if (config.mode == BeamMode::Accelerated) {
-      Sampled s = sample_strike(rng);
-      core::Outcome outcome;
-      if (s.immediate) {
-        outcome = s.immediate_outcome;
-      } else {
+    if (accelerated) {
+      const Sampled& s = samples[r];
+      core::Outcome outcome = s.immediate_outcome;
+      if (!s.immediate) {
         BeamObserver obs({s.plan}, st.max_regs);
-        outcome = st.w->run_trial(*st.dev, &obs).outcome;
+        const int e = run_epoch.empty() ? -1 : run_epoch[r];
+        if (e >= 0) {
+          obs.preset(points[static_cast<std::size_t>(e)].clock);
+          outcome =
+              engine.run_forked(st, static_cast<std::size_t>(e), &obs).outcome;
+        } else {
+          outcome = st.w->run_trial(*st.dev, &obs).outcome;
+        }
       }
       outcomes[r] = outcome;
       run_target[r] = static_cast<std::uint8_t>(s.target);
     } else {
+      Rng rng(seeds[r]);
       // Natural flux: Poisson number of strikes this run.
       const double lambda = config.flux_scale * total_weight;
       const std::uint64_t n = rng.poisson(lambda);
@@ -530,11 +705,19 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
   };
 
   // Chunks are *positions* in the owned order (dense [0, owned.size()));
-  // run_one maps them back to global run ids.
-  engine.run(owned.size(),
-             [&](fault::TrialWorker& st, std::size_t begin, std::size_t end) {
-               for (std::size_t p = begin; p < end; ++p) run_one(st, owned[p]);
-             });
+  // run_one maps them back to global run ids. Under forking each chunk runs
+  // grouped by epoch (stable sort), as campaign chunks do, so consecutive
+  // runs resume from a hot snapshot on the delta-restore path.
+  engine.run(owned.size(), [&](fault::TrialWorker& st, std::size_t begin,
+                               std::size_t end) {
+    std::vector<std::size_t> rs(owned.begin() + static_cast<std::ptrdiff_t>(begin),
+                                owned.begin() + static_cast<std::ptrdiff_t>(end));
+    if (!run_epoch.empty())
+      std::stable_sort(rs.begin(), rs.end(), [&](std::size_t a, std::size_t b) {
+        return run_epoch[a] < run_epoch[b];
+      });
+    for (const std::size_t r : rs) run_one(st, r);
+  });
 
   for (const std::size_t r : owned) {
     result.outcomes.add(outcomes[r]);

@@ -142,13 +142,15 @@ ExposureBreakdown compute_exposure(const core::Workload& w,
 namespace detail {
 /// Test-only: not part of the beam API; run_beam is the only production user.
 /// The strike observer a beam run attaches to one trial, planned with a
-/// single functional-unit strike on the `index`-th lane execution of `unit`
-/// (`rand` seeds the fire-time choices), so a test can watch it drop its
-/// hook claims once the strike has fired.
-std::unique_ptr<sim::SimObserver> unit_strike_observer(isa::UnitKind unit,
-                                                       std::uint64_t index,
-                                                       std::uint64_t rand,
-                                                       unsigned max_regs);
+/// single strike on `target` at `position` along that target's domain: the
+/// lane-execution index of `unit` (FunctionalUnit), the warp- or block-cycle
+/// integral (RegisterFile, SharedMem) or the trial cycle (GlobalMem, and
+/// Hidden, which corrupts a live register rather than raising a DUE).
+/// `rand` seeds the fire-time choices. Lets a test watch which hooks the
+/// observer claims before and after its strike fires.
+std::unique_ptr<sim::SimObserver> strike_observer(
+    StrikeTarget target, std::uint64_t position, std::uint64_t rand,
+    unsigned max_regs, isa::UnitKind unit = isa::UnitKind::OTHER);
 }  // namespace detail
 
 }  // namespace gpurel::beam

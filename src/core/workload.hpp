@@ -189,10 +189,13 @@ class Workload {
 
   /// Run the fault-free prefix of a trial once, capturing a snapshot at each
   /// cumulative lane-instruction mark (sorted, strictly increasing, all below
-  /// the trial's total). Requires prepare() and fork_safe(); throws if the
-  /// capture run raises a DUE or misses a mark.
+  /// the trial's total). `obs` (may be null) watches the whole fault-free
+  /// run, so a planner can measure its own per-epoch positions on the same
+  /// pass. Requires prepare() and fork_safe(); throws if the capture run
+  /// raises a DUE or misses a mark.
   void capture_prefix(sim::Device& dev, const std::vector<std::uint64_t>& marks,
-                      std::vector<sim::Snapshot>& out);
+                      std::vector<sim::Snapshot>& out,
+                      sim::SimObserver* obs = nullptr);
 
   /// Re-run the suffix of a trial from `snap`: device memory is rebuilt via
   /// setup() (bump allocation is deterministic, so addresses match), the
@@ -213,7 +216,8 @@ class Workload {
 
   /// Bytes of snapshot image copied back by the most recent
   /// run_trial_forked restore (full image size, or the dirty subset on the
-  /// delta fast path) — feeds gpurel_campaign_snapshot_restore_bytes_total.
+  /// delta fast path) — feeds gpurel_<kind>_snapshot_restore_bytes_total
+  /// (fault::TrialEngine::run_forked).
   std::uint64_t last_restore_bytes() const { return last_restore_bytes_; }
 
  protected:

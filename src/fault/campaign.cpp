@@ -117,10 +117,14 @@ class CountingObserver final : public sim::SimObserver {
       ++per_kind_[static_cast<std::size_t>(isa::unit_kind(ctx.instr->op))];
   }
 
-  std::array<std::uint64_t, kKinds> per_kind_{};
-  std::uint64_t pred_ = 0;
-  std::uint64_t stores_ = 0;
-  std::uint64_t total_lane_ = 0;
+  SiteCounts counts() const {
+    SiteCounts sites;
+    sites.per_kind = per_kind_;
+    sites.pred = pred_;
+    sites.stores = stores_;
+    sites.total_lane = total_lane_;
+    return sites;
+  }
 
  private:
   void flush() {
@@ -145,6 +149,10 @@ class CountingObserver final : public sim::SimObserver {
   }
 
   const Injector& inj_;
+  std::array<std::uint64_t, kKinds> per_kind_{};
+  std::uint64_t pred_ = 0;
+  std::uint64_t stores_ = 0;
+  std::uint64_t total_lane_ = 0;
   const std::vector<std::uint64_t>* marks_;
   std::vector<EpochSites>* epochs_;
   std::uint64_t lanes_ = 0;   // issue-domain cumulative lane instructions
@@ -335,23 +343,15 @@ void check_instrumentable(const Injector& injector, const core::Workload& w) {
         injector.name());
 }
 
-/// Fault-free counting run over an already prepared workload. With `marks`
-/// set, also fills `epochs` with the per-mode counts at each mark.
+/// Fault-free counting run over an already prepared workload.
 SiteCounts count_prepared(const Injector& injector, core::Workload& w,
-                          sim::Device& dev,
-                          const std::vector<std::uint64_t>* marks = nullptr,
-                          std::vector<EpochSites>* epochs = nullptr) {
-  CountingObserver counter(injector, marks, epochs);
+                          sim::Device& dev) {
+  CountingObserver counter(injector);
   const auto r = w.run_trial(dev, &counter);
   if (r.outcome != core::Outcome::Masked)
     throw std::logic_error("counting pass produced a non-masked outcome for " +
                            w.name());
-  SiteCounts sites;
-  sites.per_kind = counter.per_kind_;
-  sites.pred = counter.pred_;
-  sites.stores = counter.stores_;
-  sites.total_lane = counter.total_lane_;
-  return sites;
+  return counter.counts();
 }
 
 /// Upper bound on the trials this process simulates: every requested trial,
@@ -527,42 +527,36 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   // over the trial's cumulative lane-instruction count (golden run; trials
   // are bit-identical until their injection fires, so the prefix is shared).
   // Unless the caller fixed it, the epoch count is chosen here, before the
-  // counting run, from the golden run length and the budget's upper bound on
-  // the trials this process simulates (kinds without sites and plan-time
-  // masked strata only lower the real count), so its marks ride on that run
-  // too.
+  // fault-free pass, from the golden run length and the budget's upper bound
+  // on the trials this process simulates (kinds without sites and plan-time
+  // masked strata only lower the real count).
   const unsigned fork_epochs = config.fork_epochs.value_or(
       auto_fork_epochs(ref->fork_safe(), ref->golden_stats().lane_instructions,
                        budgeted_trials(config)));
-  bool forking = fork_epochs > 0 && ref->fork_safe();
   std::vector<std::uint64_t> marks;
-  if (forking) {
-    const std::uint64_t total = ref->golden_stats().lane_instructions;
-    for (unsigned i = 1; i <= fork_epochs; ++i) {
-      const std::uint64_t m = total / (fork_epochs + 1) * i +
-                              total % (fork_epochs + 1) * i / (fork_epochs + 1);
-      if (m == 0 || m >= total) continue;
-      if (!marks.empty() && marks.back() == m) continue;
-      marks.push_back(m);
-    }
-    if (marks.empty()) forking = false;
-  }
+  if (fork_epochs > 0 && ref->fork_safe())
+    marks = TrialEngine::even_marks(ref->golden_stats().lane_instructions,
+                                    fork_epochs);
+  bool forking = !marks.empty();
 
-  // Site counts: one fault-free run — or the caller's precomputed counts,
-  // which skip it entirely (bit-identical; see CampaignConfig::sites). Fork
-  // batching additionally needs the running per-mode counts at each mark,
-  // which only a counting run can measure, so with caller-provided sites and
-  // forking enabled a counting run still happens (for the epochs alone).
+  // Site counts and fork points come from one fault-free pass. When forking,
+  // the counting observer rides on the engine's snapshot capture and also
+  // records the running per-mode counts at each mark; otherwise a plain
+  // counting run measures the sites. Caller-provided counts (bit-identical;
+  // see CampaignConfig::sites) replace the measured ones, which leaves a
+  // plain campaign no fault-free pass at all.
   std::vector<EpochSites> epochs;
-  const SiteCounts sites =
-      config.sites != nullptr
-          ? *config.sites
-          : count_prepared(injector, *ref, *ref_dev, forking ? &marks : nullptr,
-                           forking ? &epochs : nullptr);
-  if (forking && config.sites != nullptr)
-    count_prepared(injector, *ref, *ref_dev, &marks, &epochs);
-  if (forking && epochs.size() != marks.size())
-    forking = false;  // defensive: a missed mark disables forking, not trials
+  SiteCounts sites;
+  if (forking) {
+    CountingObserver counter(injector, &marks, &epochs);
+    engine.capture(marks, &counter);
+    sites = counter.counts();
+    if (epochs.size() != marks.size())
+      forking = false;  // defensive: a missed mark disables forking, not trials
+  } else if (config.sites == nullptr) {
+    sites = count_prepared(injector, *ref, *ref_dev);
+  }
+  if (config.sites != nullptr) sites = *config.sites;
 
   // The injector's reach descriptor: static site spaces of the
   // micro-architectural classes it can strike (empty for the SASS-level
@@ -659,8 +653,6 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   obs::Counter& m_trials = metrics.counter("gpurel_campaign_trials_total");
   obs::Histogram& m_latency =
       metrics.histogram("gpurel_campaign_trial_latency_ms");
-  obs::Counter& m_restore_bytes =
-      metrics.counter("gpurel_campaign_snapshot_restore_bytes_total");
   telemetry::Timer wall;
   if (sink != nullptr)
     sink->emit("campaign_start",
@@ -812,27 +804,6 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
     }
   }
 
-  // Shared snapshot pool: capture the fault-free prefix ONCE, on the
-  // reference instance, before dispatch, and let every worker restore from
-  // the same immutable snapshot vector (read-only sharing needs no
-  // synchronisation). Skipped when no executed trial actually forks. One
-  // capture pass = one event; the ci.sh fork leg asserts exactly one per
-  // campaign regardless of worker count.
-  std::vector<sim::Snapshot> snaps;
-  if (forking &&
-      std::any_of(owned.begin() + static_cast<std::ptrdiff_t>(skip),
-                  owned.end(),
-                  [&](std::size_t t) { return trial_epoch[t] >= 0; })) {
-    ref->capture_prefix(*ref_dev, marks, snaps);
-    std::uint64_t bytes = 0;
-    for (const sim::Snapshot& s : snaps) bytes += s.bytes();
-    metrics.counter("gpurel_campaign_snapshots_total").add(snaps.size());
-    if (sink != nullptr)
-      sink->emit("campaign_snapshot_capture", {{"workload", result.workload},
-                                               {"epochs", snaps.size()},
-                                               {"image_bytes", bytes}});
-  }
-
   auto run_one = [&](TrialWorker& st, std::size_t t) {
     const TrialDesc& desc = trials[t];
     if (zero_site_class[static_cast<std::size_t>(desc.cls)]) {
@@ -884,10 +855,9 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
       MicroArchObserver march(layout, desc.cls, sample.target_index,
                               sample.fire_cycle);
       if (epoch >= 0) {
-        const sim::Snapshot& snap = snaps[static_cast<std::size_t>(epoch)];
-        march.preset_cycle_base(snap.prior.cycles);
-        r = st.w->run_trial_forked(*st.dev, snap, &march, /*delta=*/true);
-        m_restore_bytes.add(st.w->last_restore_bytes());
+        const auto e = static_cast<std::size_t>(epoch);
+        march.preset_cycle_base(engine.snapshots()[e].prior.cycles);
+        r = engine.run_forked(st, e, &march);
       } else {
         r = st.w->run_trial(*st.dev, &march);
       }
@@ -935,9 +905,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
       // The skipped prefix is fault-free, so the tracker only needs its
       // lane-instruction clock advanced to keep records fork-invariant.
       if (propagation) prop.preset_lane_count(es.at.total_lane);
-      r = st.w->run_trial_forked(*st.dev, snaps[static_cast<std::size_t>(epoch)],
-                                 trial_obs, /*delta=*/true);
-      m_restore_bytes.add(st.w->last_restore_bytes());
+      r = engine.run_forked(st, static_cast<std::size_t>(epoch), trial_obs);
     } else {
       r = st.w->run_trial(*st.dev, trial_obs);
     }
@@ -978,7 +946,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   // high-water mark across campaigns in one process.
   if (forking) {
     std::uint64_t pool_bytes = 0;
-    for (const sim::Snapshot& s : snaps) pool_bytes += s.bytes();
+    for (const sim::Snapshot& s : engine.snapshots()) pool_bytes += s.bytes();
     for (const TrialWorker& st : engine.workers())
       if (st.dev) pool_bytes += st.dev->memory().dirty_scratch_bytes();
     metrics.gauge("gpurel_campaign_snapshot_pool_bytes")

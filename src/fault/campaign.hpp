@@ -175,7 +175,8 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
   ///   - unset (the default): auto_fork_epochs(), chosen from the golden run
   ///     length and the budget's upper bound on the trials this process
   ///     simulates (requested trials split over the shards, less a resumed
-  ///     prefix), before the campaign's fault-free counting run;
+  ///     prefix), before the campaign's one fault-free pass, on which the
+  ///     site counting rides along with the snapshot capture;
   ///   - 0: plain execution, every trial from the start — the reference path
   ///     the fork-equivalence tests compare against;
   ///   - N: up to exactly N epochs.
@@ -231,17 +232,19 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
 using WorkloadFactory = std::function<std::unique_ptr<core::Workload>()>;
 
 /// Automatic fork-epoch rule, used when CampaignConfig::fork_epochs is
-/// unset. A forked trial skips the fault-free prefix up to its epoch, which
-/// it would otherwise simulate with the injection hooks attached (the slow
-/// per-lane path); the price is one hook-free capture run per campaign plus
-/// E snapshots held in memory. The rule:
+/// unset, and by every accelerated beam experiment. A forked trial skips the
+/// fault-free prefix up to its epoch, which it would otherwise simulate with
+/// the injection hooks attached (the slow per-lane path); the price is one
+/// capture pass per campaign or beam experiment plus E snapshots held in
+/// memory. The rule:
 ///   - 0 when the workload is not fork-safe;
 ///   - otherwise min(kAutoForkMaxEpochs, golden_lanes /
 ///     kAutoForkLanesPerEpoch, trials): no more epochs than trials can use,
 ///     no epoch shorter than kAutoForkLanesPerEpoch lane instructions (so
 ///     runs shorter than that get 0), and at most 8.
 /// `trials` is the campaign's budgeted trial count, known before its
-/// counting run, so the snapshot marks ride on that run.
+/// fault-free pass, so the site counting rides on the capture; a beam
+/// experiment passes its runs that need simulation.
 /// Measured with 4-worker campaigns (3-5 repeats, median) on a 4-vCPU
 /// x86-64 host, Release build, epochs swept over {0,1,2,4,8,16,32}:
 ///   - LAVA-F SASSIFI at scale 0.5 (2.5M lane instructions, 130 trials):
@@ -256,8 +259,9 @@ using WorkloadFactory = std::function<std::unique_ptr<core::Workload>()>;
 ///   - Few trials (LAVA-F SASSIFI, scale 0.5, 1-8 RF trials, 7 repeats,
 ///     median; unforked vs this rule): 1 worker 91/142/167 ms unforked vs
 ///     83/122/132 ms forked at 1/2/3 trials; 4 workers 79/114/132 ms vs
-///     83/102/130 ms. The capture run is hook-free, so even one trial
-///     forks at no measurable loss: no minimum trial count is needed.
+///     83/102/130 ms, measured with a separate hook-free capture run; the
+///     site counting now rides on the capture pass, so forking adds no
+///     fault-free run at all and no minimum trial count is needed.
 /// Pure and deterministic; the result never changes campaign outcomes.
 inline constexpr std::uint64_t kAutoForkMaxEpochs = 8;
 inline constexpr std::uint64_t kAutoForkLanesPerEpoch = 6144;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace gpurel::fault {
@@ -49,6 +50,46 @@ std::vector<std::size_t> TrialEngine::shard(std::size_t count,
   return owned;
 }
 
+std::vector<std::uint64_t> TrialEngine::even_marks(std::uint64_t total_lanes,
+                                                   unsigned epochs) {
+  std::vector<std::uint64_t> marks;
+  for (unsigned i = 1; i <= epochs; ++i) {
+    const std::uint64_t m = total_lanes / (epochs + 1) * i +
+                            total_lanes % (epochs + 1) * i / (epochs + 1);
+    if (m == 0 || m >= total_lanes) continue;
+    if (!marks.empty() && marks.back() == m) continue;
+    marks.push_back(m);
+  }
+  return marks;
+}
+
+const std::vector<sim::Snapshot>& TrialEngine::capture(
+    const std::vector<std::uint64_t>& marks, sim::SimObserver* observer) {
+  TrialWorker& ref = reference();
+  snaps_.clear();
+  ref.w->capture_prefix(*ref.dev, marks, snaps_, observer);
+  std::uint64_t bytes = 0;
+  for (const sim::Snapshot& s : snaps_) bytes += s.bytes();
+  auto& metrics = obs::Registry::global();
+  metrics.counter("gpurel_" + kind_ + "_snapshots_total").add(snaps_.size());
+  m_restore_bytes_ =
+      &metrics.counter("gpurel_" + kind_ + "_snapshot_restore_bytes_total");
+  m_forked_ =
+      &metrics.counter("gpurel_" + kind_ + "_" + unit_ + "_forked_total");
+  capture_bytes_ = bytes;
+  capture_pending_ = true;
+  return snaps_;
+}
+
+core::TrialResult TrialEngine::run_forked(TrialWorker& st, std::size_t epoch,
+                                          sim::SimObserver* observer) {
+  core::TrialResult r =
+      st.w->run_trial_forked(*st.dev, snaps_[epoch], observer, /*delta=*/true);
+  m_restore_bytes_->add(st.w->last_restore_bytes());
+  m_forked_->add();
+  return r;
+}
+
 TrialWorker& TrialEngine::worker(std::size_t i) {
   TrialWorker& st = workers_[i];
   if (!st.w) st = prepare_worker(factory_, "run_" + kind_);
@@ -61,6 +102,12 @@ void TrialEngine::run(std::size_t total, const ChunkBody& body,
   const std::string chunk_event = kind_ + "_chunk";
   telemetry::Progress progress(progress_, label, total);
   telemetry::Counter done;
+  if (capture_pending_ && sink_ != nullptr)
+    sink_->emit(kind_ + "_snapshot_capture",
+                {{"workload", workers_[0].w->name()},
+                 {"epochs", snaps_.size()},
+                 {"image_bytes", capture_bytes_}});
+  capture_pending_ = false;
 
   // Each puller id is used by one thread at a time, so its worker slot needs
   // no synchronisation.

@@ -3,8 +3,11 @@
 // single-workload trials, each seeded by its index, and classify every one
 // as Masked/SDC/DUE; only the trial plan and what a trial simulates differ.
 // The engine owns everything else: the prepared workload instances, the
-// shard a process owns, guided dynamic dispatch over a worker pool, and the
-// per-chunk telemetry event, trace span and progress meter.
+// shard a process owns, guided dynamic dispatch over a worker pool, the
+// per-chunk telemetry event, trace span and progress meter, and checkpoint
+// forking: one fault-free pass of the reference instance captures snapshots
+// at evenly placed marks, and a forked trial resumes from the deepest
+// snapshot that precedes its fault instead of simulating the shared prefix.
 //
 // Results never depend on the engine's work distribution: callers write
 // each trial's outcome into a slot indexed by trial and tally serially after
@@ -22,6 +25,11 @@
 #include "core/workload.hpp"
 #include "obs/run_context.hpp"
 #include "sim/device.hpp"
+#include "sim/snapshot.hpp"
+
+namespace gpurel::obs {
+class Counter;
+}  // namespace gpurel::obs
 
 namespace gpurel::fault {
 
@@ -56,6 +64,33 @@ class TrialEngine {
   /// Every worker slot; slots of workers that never ran a chunk are empty.
   const std::vector<TrialWorker>& workers() const { return workers_; }
 
+  /// Up to `epochs` snapshot marks spread evenly over a trial of
+  /// `total_lanes` cumulative lane instructions, strictly inside
+  /// (0, total_lanes) and strictly increasing (coinciding marks collapse).
+  static std::vector<std::uint64_t> even_marks(std::uint64_t total_lanes,
+                                               unsigned epochs);
+
+  /// The one fault-free pass of a forked experiment: runs the reference
+  /// instance with `observer` attached (may be null), capturing a snapshot
+  /// at each of `marks` (see core::Workload::capture_prefix), and keeps the
+  /// set for every worker to resume from (read-only, so shared without
+  /// locks) until the engine is destroyed. Adds the snapshot count to
+  /// gpurel_<kind>_snapshots_total; the `<kind>_snapshot_capture` event
+  /// {workload, epochs, image_bytes} follows when run() starts dispatch, so
+  /// it comes after the caller's own start event. Returns the set.
+  const std::vector<sim::Snapshot>& capture(
+      const std::vector<std::uint64_t>& marks, sim::SimObserver* observer);
+  /// The captured set (empty before capture()).
+  const std::vector<sim::Snapshot>& snapshots() const { return snaps_; }
+
+  /// Resume one trial on `st` from captured snapshot `epoch` (requires
+  /// capture()) with `observer` attached, using the delta restore when `st`
+  /// last ran from the same snapshot. Adds the restored bytes to
+  /// gpurel_<kind>_snapshot_restore_bytes_total and counts the trial in
+  /// gpurel_<kind>_<unit>_forked_total.
+  core::TrialResult run_forked(TrialWorker& st, std::size_t epoch,
+                               sim::SimObserver* observer);
+
   /// Multi-process sharding: the indices t of [0, count) with
   /// t % shard_count == shard_index, in increasing order. Throws
   /// std::invalid_argument unless shard_index < shard_count.
@@ -71,6 +106,7 @@ class TrialEngine {
   /// Run positions [0, total) in guided dynamic chunks (each takes
   /// remaining / (4 x workers) positions, clamped to [1, 8]): inline for one
   /// worker, on a pool otherwise.
+  /// Emits a pending `<kind>_snapshot_capture` event first (see capture()).
   /// After each chunk: its trace span, a progress tick, the `<kind>_chunk`
   /// event {begin, end, done, total}, then `on_done`. Blocks until every
   /// chunk finished; rethrows the first exception a chunk raised.
@@ -87,6 +123,11 @@ class TrialEngine {
   obs::TraceWriter* trace_;
   bool progress_;
   std::vector<TrialWorker> workers_;
+  std::vector<sim::Snapshot> snaps_;
+  std::uint64_t capture_bytes_ = 0;
+  bool capture_pending_ = false;  // capture event not yet emitted
+  obs::Counter* m_restore_bytes_ = nullptr;  // resolved by capture()
+  obs::Counter* m_forked_ = nullptr;
 };
 
 }  // namespace gpurel::fault

@@ -279,6 +279,8 @@ const char* metric_help(const std::string& name) {
       {"gpurel_campaign_snapshot_restore_bytes_total",
        "Snapshot image bytes copied back by forked-trial restores (the "
        "dirty subset on delta restores)"},
+      {"gpurel_campaign_trials_forked_total",
+       "Injection trials resumed from a fork-prefix snapshot"},
       {"gpurel_campaign_outcomes_total",
        "Trial outcomes by fault model, unit kind, and outcome"},
       {"gpurel_campaign_dynamic_sites",
@@ -288,6 +290,13 @@ const char* metric_help(const std::string& name) {
       {"gpurel_beam_runs_total", "Beam experiment runs executed"},
       {"gpurel_beam_run_latency_ms", "Wall-clock latency of one beam run"},
       {"gpurel_beam_outcomes_total", "Beam run outcomes by strike target"},
+      {"gpurel_beam_snapshots_total",
+       "Fork-prefix snapshots captured for accelerated beam runs"},
+      {"gpurel_beam_runs_forked_total",
+       "Accelerated beam runs resumed from a fork-prefix snapshot"},
+      {"gpurel_beam_snapshot_restore_bytes_total",
+       "Snapshot image bytes copied back by forked beam-run restores (the "
+       "dirty subset on delta restores)"},
       {"gpurel_job_cache_hits_total", "Job results served from the cache"},
       {"gpurel_job_cache_misses_total", "Job cache lookups that missed"},
       {"gpurel_job_cache_stores_total", "Job results written to the cache"},

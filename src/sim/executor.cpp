@@ -1099,6 +1099,10 @@ void Executor::issue_instr(WarpRt& w, std::uint64_t cycle) {
   if (obs_ != nullptr && (hooks_ & SimObserver::kWantsWarpIssue)) {
     const WarpIssue wi{cycle, w.sm, w.warp_id, pc, &in, exec_mask};
     obs_->on_warp_issue(wi);
+    // Re-read the claims: an issue observer may claim the per-lane hooks for
+    // just this issue (a beam strike's target instruction) and drop them at
+    // the next one.
+    hooks_ = obs_->wants();
   }
 
   if (obs_ != nullptr && (hooks_ & SimObserver::kWantsBeforeExec) &&

@@ -109,17 +109,20 @@ class SimObserver {
 
   /// Capability bits for wants(): which hook families this observer actually
   /// implements. The executor reads the mask at launch start and re-reads it
-  /// at every cycle boundary, skipping dispatch (including per-lane
-  /// ExecContext construction) for unclaimed hooks, so bare and
-  /// sparsely-instrumented runs pay nothing for the hooks they don't use.
+  /// at every cycle boundary and right after every on_warp_issue call,
+  /// skipping dispatch (including per-lane ExecContext construction) for
+  /// unclaimed hooks, so bare and sparsely-instrumented runs pay nothing for
+  /// the hooks they don't use. The post-issue re-read lets an issue observer
+  /// claim the per-lane hooks for exactly the issues it must intercept.
   /// on_launch_begin/on_launch_end are always delivered (once per launch —
   /// not worth a bit). Overriding wants() is a pure optimization: the
   /// default claims everything, and because default hook bodies are no-ops,
   /// skipping an unclaimed hook never changes behaviour. An observer that
   /// overrides a hook MUST claim its bit while calls to it could do
   /// anything; it may drop a bit mid-launch once every later call would be a
-  /// no-op (a fired one-shot injection), which switches the remainder of the
-  /// launch onto the bare whole-warp execution paths.
+  /// no-op until it claims the bit again (a fired one-shot injection, or a
+  /// strike waiting for its target issue), which switches those stretches of
+  /// the launch onto the bare whole-warp execution paths.
   static constexpr unsigned kWantsBeforeExec = 1u << 0;
   static constexpr unsigned kWantsAfterExec = 1u << 1;
   static constexpr unsigned kWantsWarpIssue = 1u << 2;

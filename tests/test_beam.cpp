@@ -1,13 +1,22 @@
 // Beam-experiment simulator tests: exposure bookkeeping, ECC behaviour
 // (SDCs crushed, DUEs added), the LDST DUE-dominance the paper measures,
-// determinism, and the accelerated-vs-natural estimator agreement property.
+// determinism, the accelerated-vs-natural estimator agreement property,
+// forked accelerated runs against digests recorded unforked, and the hooks a
+// strike observer claims.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <bit>
+#include <string>
+#include <vector>
 
 #include "beam/experiment.hpp"
 #include "common/bits.hpp"
 #include "job/serialize.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/microbench.hpp"
+#include "kernels/registry.hpp"
+#include "obs/metrics.hpp"
 
 namespace gpurel::beam {
 namespace {
@@ -217,14 +226,16 @@ TEST(BeamObserver, DropsHookClaimsOnceItsStrikeHasFired) {
       w->golden_stats().lane_per_unit[static_cast<std::size_t>(UnitKind::FFMA)];
   ASSERT_GT(ffma, 100u);
 
-  auto fires = detail::unit_strike_observer(UnitKind::FFMA, ffma / 2, 0x1234,
-                                            w->max_regs_per_thread());
+  auto fires = detail::strike_observer(StrikeTarget::FunctionalUnit, ffma / 2,
+                                       0x1234, w->max_regs_per_thread(),
+                                       UnitKind::FFMA);
   EXPECT_NE(fires->wants(), 0u);
   w->run_trial(dev, fires.get());
   EXPECT_EQ(fires->wants(), 0u);
 
-  auto never = detail::unit_strike_observer(UnitKind::FFMA, ffma, 0x1234,
-                                            w->max_regs_per_thread());
+  auto never = detail::strike_observer(StrikeTarget::FunctionalUnit, ffma,
+                                       0x1234, w->max_regs_per_thread(),
+                                       UnitKind::FFMA);
   const core::TrialResult r = w->run_trial(dev, never.get());
   EXPECT_EQ(r.outcome, core::Outcome::Masked);
   EXPECT_NE(never->wants(), 0u);
@@ -254,6 +265,178 @@ TEST(BeamObserver, ResultsMatchDigestsRecordedBeforeOneShot) {
             0x9e259cbb1c940a0fu);
   EXPECT_EQ(digest(fadd_factory(), BeamMode::Accelerated, true, 100, 1.0),
             0x07dfdd8f749efafau);
+}
+
+TEST(Beam, ForkedRunsMatchDigestsRecordedUnforked) {
+  // FNV-1a digests of job::beam_result_to_json recorded before accelerated
+  // runs forked from shared snapshots (every run simulated from the start):
+  // forking must not move a byte, at any worker count or shard split.
+  // MERGESORT forks across launches; BFS is host-stepped, so never forks.
+  struct Case {
+    const char* base;
+    Precision precision;
+    bool ecc;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"MERGESORT", Precision::Int32, false, 0xe1fef4a77e64e733u},
+      {"MERGESORT", Precision::Int32, true, 0xbf907bc850d15a10u},
+      {"LAVA", Precision::Single, false, 0xf061bee61f1758e0u},
+      {"LAVA", Precision::Single, true, 0x4fce97cc9c31144au},
+      {"YOLOV3", Precision::Single, false, 0xa941388bf49f7eacu},
+      {"YOLOV3", Precision::Single, true, 0x812aa3f68f759b90u},
+      {"BFS", Precision::Int32, false, 0x8a07d52e78c9012bu},
+      {"BFS", Precision::Int32, true, 0xbc1f67f61fba2be7u},
+  };
+  obs::Counter& snapshots =
+      obs::Registry::global().counter("gpurel_beam_snapshots_total");
+  obs::Counter& forked =
+      obs::Registry::global().counter("gpurel_beam_runs_forked_total");
+  for (const Case& c : cases) {
+    const auto factory =
+        kernels::workload_factory(c.base, c.precision, kepler_cfg());
+    // `shards` processes of `workers` workers each, merged.
+    auto digest = [&](unsigned workers, unsigned shards) {
+      BeamResult merged;
+      for (unsigned s = 0; s < shards; ++s) {
+        BeamConfig bc;
+        bc.runs = 60;
+        bc.ecc = c.ecc;
+        bc.seed = 0xf04c;
+        bc.workers = workers;
+        bc.shard_index = s;
+        bc.shard_count = shards;
+        const BeamResult r = run_beam(CrossSectionDb::kepler(), factory, bc);
+        if (s == 0)
+          merged = r;
+        else
+          merged.merge(r);
+      }
+      return fnv1a64(job::beam_result_to_json(merged).dump());
+    };
+    const std::string what =
+        std::string(c.base) + (c.ecc ? " ecc on" : " ecc off");
+    const std::uint64_t snaps_before = snapshots.value();
+    const std::uint64_t forked_before = forked.value();
+    EXPECT_EQ(digest(1, 1), c.digest) << what << ", 1 worker";
+    EXPECT_EQ(digest(4, 1), c.digest) << what << ", 4 workers";
+    EXPECT_EQ(digest(2, 3), c.digest) << what << ", 3 shards";
+    if (std::string(c.base) == "BFS") {
+      EXPECT_EQ(snapshots.value(), snaps_before) << what;
+      EXPECT_EQ(forked.value(), forked_before) << what;
+    } else {
+      EXPECT_GT(snapshots.value(), snaps_before) << what;
+      EXPECT_GT(forked.value(), forked_before) << what;
+    }
+  }
+}
+
+/// Forwards every hook to a strike observer and records, at each hook it
+/// delivers, which hooks the observer claims. Claims the inner observer's
+/// hooks plus warp issues, so it sees every issue; the inner observer only
+/// receives the hooks it claims itself.
+class ClaimProbe final : public sim::SimObserver {
+ public:
+  explicit ClaimProbe(sim::SimObserver& inner) : inner_(inner) {}
+
+  unsigned wants() const override { return inner_.wants() | kWantsWarpIssue; }
+
+  void on_launch_begin(const sim::LaunchInfo& li, sim::Machine& m) override {
+    inner_.on_launch_begin(li, m);
+  }
+  void on_launch_end(const sim::LaunchStats& st) override {
+    inner_.on_launch_end(st);
+  }
+  void on_time_advance(std::uint64_t from, std::uint64_t to,
+                       sim::Machine& m) override {
+    seen_.push_back(inner_.wants());
+    inner_.on_time_advance(from, to, m);
+  }
+  void on_warp_issue(const sim::WarpIssue& wi) override {
+    const unsigned before = inner_.wants();
+    seen_.push_back(before);
+    if (before & kWantsWarpIssue) inner_.on_warp_issue(wi);
+    // Lanes of the issued kind before this issue, and whether the observer
+    // now claims the per-lane hooks for it.
+    const UnitKind kind = isa::unit_kind(wi.instr->op);
+    const unsigned lanes = static_cast<unsigned>(std::popcount(wi.exec_mask));
+    std::uint64_t& n = lanes_[static_cast<std::size_t>(kind)];
+    if (inner_.wants() & (kWantsBeforeExec | kWantsAfterExec))
+      lane_claims_.push_back({kind, n, n + lanes});
+    n += lanes;
+  }
+  void before_exec(sim::ExecContext& ctx) override { inner_.before_exec(ctx); }
+  void after_exec(sim::ExecContext& ctx) override { inner_.after_exec(ctx); }
+
+  struct LaneClaim {
+    UnitKind kind;
+    std::uint64_t first;  // lane-execution index range [first, end) of the kind
+    std::uint64_t end;
+  };
+  /// inner.wants() at every delivered time advance and warp issue.
+  const std::vector<unsigned>& seen() const { return seen_; }
+  /// Issues for which the observer claimed the per-lane hooks.
+  const std::vector<LaneClaim>& lane_claims() const { return lane_claims_; }
+
+ private:
+  sim::SimObserver& inner_;
+  std::array<std::uint64_t, static_cast<std::size_t>(UnitKind::kCount)> lanes_{};
+  std::vector<unsigned> seen_;
+  std::vector<LaneClaim> lane_claims_;
+};
+
+TEST(BeamObserver, ClaimsOnlyTheHooksItsPlansNeed) {
+  using sim::SimObserver;
+  auto w = mxm_factory()();
+  sim::Device dev(w->config().gpu);
+  w->prepare(dev);
+  const sim::LaunchStats& golden = w->golden_stats();
+  const unsigned regs = w->max_regs_per_thread();
+
+  // RF / SH / GL / Hidden strikes only ever act on a time advance: before
+  // they fire that is all they claim, and afterwards nothing.
+  const std::pair<StrikeTarget, std::uint64_t> aux[] = {
+      {StrikeTarget::RegisterFile,
+       static_cast<std::uint64_t>(golden.warp_cycles / 2)},
+      {StrikeTarget::SharedMem,
+       static_cast<std::uint64_t>(golden.block_cycles / 2)},
+      {StrikeTarget::GlobalMem, golden.cycles / 2},
+      {StrikeTarget::Hidden, golden.cycles / 2},
+  };
+  for (const auto& [target, position] : aux) {
+    const std::string what(strike_target_name(target));
+    auto strike = detail::strike_observer(target, position, 0x77, regs);
+    EXPECT_EQ(strike->wants(), SimObserver::kWantsTimeAdvance) << what;
+    ClaimProbe probe(*strike);
+    w->run_trial(dev, &probe);
+    ASSERT_FALSE(probe.seen().empty()) << what;
+    for (const unsigned claims : probe.seen())
+      EXPECT_TRUE(claims == SimObserver::kWantsTimeAdvance || claims == 0u)
+          << what << " claimed " << claims;
+    EXPECT_EQ(probe.seen().front(), SimObserver::kWantsTimeAdvance) << what;
+    EXPECT_EQ(strike->wants(), 0u) << what << " did not fire";
+  }
+
+  // An FU strike counts issued lanes and claims the per-lane hooks for the
+  // one issue that holds its target lane, never before it.
+  const std::uint64_t ffma =
+      golden.lane_per_unit[static_cast<std::size_t>(UnitKind::FFMA)];
+  ASSERT_GT(ffma, 100u);
+  const std::uint64_t target = ffma / 2 + 3;
+  auto fu = detail::strike_observer(StrikeTarget::FunctionalUnit, target, 0x77,
+                                    regs, UnitKind::FFMA);
+  EXPECT_EQ(fu->wants(), SimObserver::kWantsWarpIssue);
+  ClaimProbe probe(*fu);
+  w->run_trial(dev, &probe);
+  ASSERT_EQ(probe.lane_claims().size(), 1u);
+  const ClaimProbe::LaneClaim& c = probe.lane_claims().front();
+  EXPECT_EQ(c.kind, UnitKind::FFMA);
+  EXPECT_LE(c.first, target);
+  EXPECT_LT(target, c.end);
+  for (const unsigned claims : probe.seen())
+    EXPECT_TRUE(claims == SimObserver::kWantsWarpIssue || claims == 0u)
+        << "claimed " << claims << " between issues";
+  EXPECT_EQ(fu->wants(), 0u);
 }
 
 }  // namespace

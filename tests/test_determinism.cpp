@@ -15,6 +15,7 @@
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "kernels/matmul.hpp"
+#include "kernels/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace gpurel {
@@ -163,36 +164,50 @@ TEST(Determinism, ObservabilityDoesNotPerturbResults) {
 }
 
 TEST(Determinism, BeamBitIdenticalAcrossWorkerCounts) {
+  // Both codes are fork-safe, so accelerated runs resume from snapshots the
+  // workers share; MERGESORT's snapshots also span several launches.
+  struct Arm {
+    const char* name;
+    core::WorkloadFactory factory;
+  };
+  const Arm arms[] = {
+      {"MXM",
+       [] {
+         return std::make_unique<MxM>(cfg(isa::CompilerProfile::Cuda10),
+                                      Precision::Single, 16);
+       }},
+      {"MERGESORT",
+       kernels::workload_factory("MERGESORT", Precision::Int32,
+                                 cfg(isa::CompilerProfile::Cuda10))},
+  };
   beam::BeamConfig base;
   base.runs = 60;
   base.seed = 4321;
   const auto db = beam::CrossSectionDb::kepler();
-  const auto factory = [] {
-    return std::make_unique<MxM>(cfg(isa::CompilerProfile::Cuda10),
-                                 Precision::Single, 16);
-  };
 
-  beam::BeamConfig one = base;
-  one.workers = 1;
-  const auto r1 = beam::run_beam(db, factory, one);
+  for (const Arm& arm : arms) {
+    beam::BeamConfig one = base;
+    one.workers = 1;
+    const auto r1 = beam::run_beam(db, arm.factory, one);
 
-  auto check = [&](const beam::BeamConfig& bc, const char* what) {
-    const auto r = beam::run_beam(db, factory, bc);
-    EXPECT_EQ(r.outcomes.masked, r1.outcomes.masked) << what;
-    EXPECT_EQ(r.outcomes.sdc, r1.outcomes.sdc) << what;
-    EXPECT_EQ(r.outcomes.due, r1.outcomes.due) << what;
-    EXPECT_EQ(r.fit_sdc, r1.fit_sdc) << what;
-    EXPECT_EQ(r.fit_due, r1.fit_due) << what;
-    for (std::size_t t = 0; t < r.by_target.size(); ++t) {
-      EXPECT_EQ(r.by_target[t].sdc, r1.by_target[t].sdc) << what << " t" << t;
-      EXPECT_EQ(r.by_target[t].due, r1.by_target[t].due) << what << " t" << t;
+    auto check = [&](const beam::BeamConfig& bc, const std::string& what) {
+      const auto r = beam::run_beam(db, arm.factory, bc);
+      EXPECT_EQ(r.outcomes.masked, r1.outcomes.masked) << what;
+      EXPECT_EQ(r.outcomes.sdc, r1.outcomes.sdc) << what;
+      EXPECT_EQ(r.outcomes.due, r1.outcomes.due) << what;
+      EXPECT_EQ(r.fit_sdc, r1.fit_sdc) << what;
+      EXPECT_EQ(r.fit_due, r1.fit_due) << what;
+      for (std::size_t t = 0; t < r.by_target.size(); ++t) {
+        EXPECT_EQ(r.by_target[t].sdc, r1.by_target[t].sdc) << what << " t" << t;
+        EXPECT_EQ(r.by_target[t].due, r1.by_target[t].due) << what << " t" << t;
+      }
+    };
+
+    for (const unsigned workers : {2u, 4u}) {
+      beam::BeamConfig bc = base;
+      bc.workers = workers;
+      check(bc, std::string(arm.name) + " workers " + std::to_string(workers));
     }
-  };
-
-  for (const unsigned workers : {2u, 4u}) {
-    beam::BeamConfig bc = base;
-    bc.workers = workers;
-    check(bc, "workers");
   }
 }
 
