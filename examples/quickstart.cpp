@@ -65,7 +65,10 @@ int main(int argc, char** argv) {
                           isa::CompilerProfile::Cuda10, 0x5eed, 0.5};
   auto mxm = kernels::make_workload("MXM", core::Precision::Single, wc);
   sim::Device dev2(wc.gpu);
-  const auto profile = profile::profile_workload(*mxm, dev2, exporter.trace());
+  obs::RunContext ctx;  // GPUREL_TELEMETRY / GPUREL_TRACE apply when unset
+  ctx.trace = exporter.trace();
+  const auto profile =
+      profile::profile_workload(*mxm, dev2, ctx.sim_timeline());
   std::printf("FMXM profile: IPC %.2f, occupancy %.2f, %u regs/thread, "
               "FMA share %.0f%%\n\n",
               profile.ipc, profile.occupancy, profile.regs_per_thread,
@@ -77,7 +80,7 @@ int main(int argc, char** argv) {
   beam::BeamConfig bc;
   bc.runs = 60;
   bc.ecc = false;
-  bc.trace = exporter.trace();
+  bc.context() = ctx;
   const auto beam_result =
       beam::run_beam(beam::CrossSectionDb::kepler(), factory, bc);
   std::printf("beam (ECC off, %llu runs): SDC FIT %.3g [%.3g, %.3g], "
@@ -89,7 +92,7 @@ int main(int argc, char** argv) {
   auto injector = fault::make_injector("NVBitFI");
   fault::CampaignConfig cc;
   cc.injections_per_kind = 25;
-  cc.trace = exporter.trace();
+  cc.context() = ctx;
   const auto campaign = fault::run_campaign(*injector, factory, cc);
   std::printf("NVBitFI campaign (%llu injections): SDC AVF %.2f, DUE AVF "
               "%.2f, masked %.2f\n",

@@ -506,28 +506,39 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
       share(StrikeTarget::Hidden, weights.hidden);
     }
   }
-  telemetry::Sink* sink = config.resolved_sink();
+  const obs::RunContext& ctx = config.context();
   auto& metrics = obs::Registry::global();
   obs::Counter& m_runs = metrics.counter("gpurel_beam_runs_total");
   obs::Histogram& m_latency = metrics.histogram("gpurel_beam_run_latency_ms");
-  telemetry::Timer wall;
-  if (sink != nullptr)
-    sink->emit("beam_start",
-               {{"workload", result.workload},
-                {"device", result.device},
-                {"runs", std::uint64_t{owned.size()}},
-                {"workers", engine.workers().size()},
-                {"mode", config.mode == BeamMode::Accelerated ? "accelerated"
-                                                              : "natural"},
-                {"ecc", config.ecc},
-                {"shard_index", config.shard_index},
-                {"shard_count", config.shard_count}});
+  // The whole run (trace category "run"; "beam" is the chunk spans'). Both
+  // exits end it with the same keys.
+  obs::Step run = ctx.step("beam_end", "beam " + result.workload, "run");
+  ctx.event("beam_start",
+            {{"workload", result.workload},
+             {"device", result.device},
+             {"runs", std::uint64_t{owned.size()}},
+             {"workers", engine.workers().size()},
+             {"mode", config.mode == BeamMode::Accelerated ? "accelerated"
+                                                           : "natural"},
+             {"ecc", config.ecc},
+             {"shard_index", config.shard_index},
+             {"shard_count", config.shard_count}});
+  auto end_run = [&] {
+    const std::uint64_t runs = result.outcomes.total();
+    const double ms = run.elapsed_ms();
+    run.end({{"workload", result.workload},
+             {"runs", runs},
+             {"masked", result.outcomes.masked},
+             {"sdc", result.outcomes.sdc},
+             {"due", result.outcomes.due},
+             {"fit_sdc", result.fit_sdc},
+             {"fit_due", result.fit_due},
+             {"runs_per_sec",
+              ms > 0 ? 1000.0 * static_cast<double>(runs) / ms : 0.0}});
+  };
 
   if (total_weight <= 0.0) {
-    if (sink != nullptr)
-      sink->emit("beam_end", {{"workload", result.workload},
-                              {"runs", std::uint64_t{0}},
-                              {"wall_ms", wall.elapsed_ms()}});
+    end_run();
     return result;
   }
 
@@ -754,21 +765,7 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
   }
   result.refresh_fits();
 
-  if (sink != nullptr) {
-    const double ms = wall.elapsed_ms();
-    sink->emit("beam_end",
-               {{"workload", result.workload},
-                {"runs", result.runs},
-                {"masked", result.outcomes.masked},
-                {"sdc", result.outcomes.sdc},
-                {"due", result.outcomes.due},
-                {"fit_sdc", result.fit_sdc},
-                {"fit_due", result.fit_due},
-                {"wall_ms", ms},
-                {"runs_per_sec",
-                 ms > 0 ? 1000.0 * static_cast<double>(result.runs) / ms
-                        : 0.0}});
-  }
+  end_run();
   return result;
 }
 

@@ -2,9 +2,10 @@
 
 #include <cinttypes>
 #include <cmath>
-#include <cstdlib>
-#include <memory>
 #include <stdexcept>
+#include <utility>
+
+#include "common/json.hpp"
 
 namespace gpurel::telemetry {
 
@@ -69,9 +70,29 @@ Sink::~Sink() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void Sink::emit(std::string_view event, std::initializer_list<Field> fields) {
+void Sink::emit(std::string_view event, std::span<const Field> fields) {
+  std::string members;
+  for (const Field& f : fields) {
+    members.push_back(',');
+    f.append_to(members);
+  }
+  write(event, members);
+}
+
+void Sink::emit(std::string_view event, const json::Value& object) {
+  std::string members;
+  for (const auto& [key, value] : object.members()) {
+    members.push_back(',');
+    append_json_string(members, key);
+    members.push_back(':');
+    value.dump(members);
+  }
+  write(event, members);
+}
+
+void Sink::write(std::string_view event, std::string_view members) {
   std::string line;
-  line.reserve(64 + fields.size() * 24);
+  line.reserve(64 + members.size());
   // JSONL event stream, schema owned by the event name + t_ms convention;
   // per-line schema_version would double the stream for no consumer.
   // gpurel-lint: allow(schema-version) event-name-keyed JSONL, not a result doc
@@ -79,10 +100,7 @@ void Sink::emit(std::string_view event, std::initializer_list<Field> fields) {
   append_json_string(line, event);
   line.push_back(',');
   Field("t_ms", since_open_.elapsed_ms()).append_to(line);
-  for (const Field& f : fields) {
-    line.push_back(',');
-    f.append_to(line);
-  }
+  line += members;
   line += "}\n";
   {
     std::lock_guard lk(mu_);
@@ -90,24 +108,6 @@ void Sink::emit(std::string_view event, std::initializer_list<Field> fields) {
     std::fflush(file_);
   }
   emitted_.add();
-}
-
-Sink* env_sink() {
-  // An unusable observability path must not kill a multi-hour campaign:
-  // warn once and run with telemetry disabled. (Explicitly constructed
-  // sinks still throw — the caller asked for that file.)
-  static const std::unique_ptr<Sink> sink = []() -> std::unique_ptr<Sink> {
-    const char* path = std::getenv("GPUREL_TELEMETRY");
-    if (path == nullptr || *path == '\0') return nullptr;
-    try {
-      return std::make_unique<Sink>(path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "warning: GPUREL_TELEMETRY disabled: %s\n",
-                   e.what());
-      return nullptr;
-    }
-  }();
-  return sink.get();
 }
 
 Progress::Progress(bool enabled, std::string label, std::uint64_t total)

@@ -1,24 +1,15 @@
-// Campaign observability: monotonic timers, relaxed counters, a thread-safe
-// JSONL event sink, and a throttled stderr progress meter.
+// Campaign observability primitives: monotonic timers, relaxed counters, a
+// thread-safe JSONL event sink, and a throttled stderr progress meter. They
+// read wall-clock time but never feed anything back into the RNG or the
+// scheduling decisions that affect results.
 //
-// Every long-running loop in the framework (fault campaigns, beam
-// experiments, the Study stages) emits structured events through a Sink so
-// that multi-hour runs can be monitored and profiled without touching the
-// deterministic simulation path: telemetry reads wall-clock time but never
-// feeds anything back into the RNG or scheduling decisions that affect
-// results.
-//
-// Event format: one JSON object per line (JSONL), e.g.
+// Event format: one JSON object per line (JSONL), each carrying `event` (its
+// name) and `t_ms` (milliseconds since the sink was opened, monotonic), e.g.
 //
 //   {"event":"campaign_start","t_ms":0.012,"injector":"NVBitFI",...}
 //
-// Every event carries `event` (its name) and `t_ms` (milliseconds since the
-// sink was opened, monotonic). See docs/ARCHITECTURE.md §8 for the schema
-// emitted by each layer.
-//
-// Sinks are selected per config (`CampaignConfig::telemetry` etc.), with the
-// process-wide fallback `GPUREL_TELEMETRY=<path>` (append mode, so a whole
-// bench suite can share one file).
+// Engine code reaches the sink and the meter only through obs::RunContext
+// (obs/run_context.hpp); docs/ARCHITECTURE.md §8 lists every event.
 #pragma once
 
 #include <atomic>
@@ -27,8 +18,13 @@
 #include <cstdio>
 #include <initializer_list>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
+
+namespace gpurel::json {
+class Value;
+}  // namespace gpurel::json
 
 namespace gpurel::telemetry {
 
@@ -116,26 +112,23 @@ class Sink {
   Sink& operator=(const Sink&) = delete;
 
   /// Emit one event line: {"event":name,"t_ms":...,fields...}.
-  void emit(std::string_view event, std::initializer_list<Field> fields);
+  void emit(std::string_view event, std::span<const Field> fields);
+  void emit(std::string_view event, std::initializer_list<Field> fields) {
+    emit(event, std::span<const Field>(fields.begin(), fields.size()));
+  }
+  /// The same line with the members of a JSON object as its fields.
+  void emit(std::string_view event, const json::Value& object);
 
   std::uint64_t events_emitted() const { return emitted_.value(); }
 
  private:
+  void write(std::string_view event, std::string_view members);
+
   std::FILE* file_;
   std::mutex mu_;
   Timer since_open_;
   Counter emitted_;
 };
-
-/// Process-wide sink configured by GPUREL_TELEMETRY=<path> (nullptr when the
-/// variable is unset or empty; opened lazily on first call, append mode).
-Sink* env_sink();
-
-/// The sink a component should use: the explicitly configured one when
-/// non-null, else the GPUREL_TELEMETRY fallback, else nullptr (disabled).
-inline Sink* resolve(Sink* configured) {
-  return configured != nullptr ? configured : env_sink();
-}
 
 /// Throttled "\r[label] done/total" meter on stderr; prints at most every
 /// ~100 ms plus a final newline. All methods are thread-safe; a disabled

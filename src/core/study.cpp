@@ -1,11 +1,8 @@
 #include "core/study.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
-#include "common/telemetry.hpp"
 #include "job/runner.hpp"
-#include "obs/trace.hpp"
 
 namespace gpurel::core {
 
@@ -13,9 +10,6 @@ using isa::UnitKind;
 using kernels::CatalogEntry;
 
 namespace {
-
-/// Trace track for Study stage spans, away from the worker tids (0..N).
-constexpr int kStudyTid = 1000;
 
 /// Which functional unit a micro catalog entry characterizes.
 UnitKind micro_unit_kind(const CatalogEntry& e) {
@@ -80,8 +74,7 @@ const std::vector<Study::MicroCharacterization>& Study::microbenchmarks() {
   if (micro_) return *micro_;
   micro_.emplace();
 
-  telemetry::Sink* sink = telemetry::resolve(config_.telemetry);
-  const telemetry::Timer stage_timer;
+  obs::Step stage = config_.stage("study_stage", "micro_characterization");
 
   auto catalog = micro_catalog();
   // The model needs the LDST unit even on devices whose Fig. 3 set omits it.
@@ -97,10 +90,7 @@ const std::vector<Study::MicroCharacterization>& Study::microbenchmarks() {
     mc.name = kernels::entry_name(entry);
     mc.kind = micro_unit_kind(entry);
     mc.is_rf = entry.base == "RF";
-    if (config_.progress)
-      std::fprintf(stderr, "[study] stage 1: characterizing %s\n",
-                   mc.name.c_str());
-    const telemetry::Timer micro_timer;
+    obs::Step micro = config_.stage("study_micro", "micro " + mc.name);
 
     const auto factory = kernels::workload_factory(
         entry.base, entry.precision, workload_config(config_.micro_scale,
@@ -109,8 +99,7 @@ const std::vector<Study::MicroCharacterization>& Study::microbenchmarks() {
     bc.runs = config_.micro_beam_runs;
     bc.seed = config_.seed * 7919 + std::hash<std::string>{}(mc.name);
     bc.workers = config_.workers;
-    bc.telemetry = config_.telemetry;
-    bc.trace = config_.trace;
+    bc.context() = config_.context();
     // The paper runs the arithmetic benches with ECC on (they use almost no
     // memory); the RF bench needs ECC off to observe storage upsets, and
     // LDST is additionally measured with ECC off to expose device memory.
@@ -134,8 +123,7 @@ const std::vector<Study::MicroCharacterization>& Study::microbenchmarks() {
         cc.injections_per_kind = config_.micro_injections_per_kind;
         cc.seed = config_.seed * 31 + std::hash<std::string>{}(mc.name);
         cc.workers = config_.workers;
-        cc.telemetry = config_.telemetry;
-        cc.trace = config_.trace;
+        cc.context() = config_.context();
         const auto r = fault::run_campaign(*nvbitfi, factory, cc);
         const auto& ks = r.kind(mc.kind);
         if (ks.counts.total() > 0)
@@ -144,23 +132,10 @@ const std::vector<Study::MicroCharacterization>& Study::microbenchmarks() {
         mc.micro_avf = 0.0;  // filled from the counterpart when building inputs
       }
     }
-    if (sink != nullptr)
-      sink->emit("study_micro", {{"name", mc.name},
-                                 {"wall_ms", micro_timer.elapsed_ms()}});
+    micro.end({{"name", mc.name}});
     micro_->push_back(std::move(mc));
   }
-  if (sink != nullptr)
-    sink->emit("study_stage", {{"stage", 1},
-                               {"name", "micro_characterization"},
-                               {"wall_ms", stage_timer.elapsed_ms()}});
-  if (obs::TraceWriter* trace = obs::resolve_trace(config_.trace)) {
-    const double ms = stage_timer.elapsed_ms();
-    trace->name_process(obs::kWallPid, "gpurel runtime (wall clock)");
-    trace->name_thread(obs::kWallPid, kStudyTid, "study stages");
-    trace->complete("micro_characterization", "study", obs::kWallPid,
-                    kStudyTid, trace->now_us() - ms * 1000.0, ms * 1000.0,
-                    {{"stage", 1}});
-  }
+  stage.end({{"stage", 1}, {"name", "micro_characterization"}});
   return *micro_;
 }
 
@@ -168,8 +143,7 @@ const model::FitInputs& Study::fit_inputs() {
   if (inputs_) return *inputs_;
   const auto& micro = microbenchmarks();  // stage 1 time billed separately
 
-  telemetry::Sink* sink = telemetry::resolve(config_.telemetry);
-  const telemetry::Timer stage_timer;
+  obs::Step stage = config_.stage("study_stage", "fit_inputs");
   inputs_.emplace();
   model::FitInputs& in = *inputs_;
   const MicroCharacterization* ldst = nullptr;
@@ -207,8 +181,7 @@ const model::FitInputs& Study::fit_inputs() {
     bc.runs = config_.micro_beam_runs;
     bc.seed = config_.seed * 104729;
     bc.workers = config_.workers;
-    bc.telemetry = config_.telemetry;
-    bc.trace = config_.trace;
+    bc.context() = config_.context();
     bc.ecc = false;
     const auto off = beam::run_beam(db_, factory, bc);
     auto w = factory();
@@ -222,10 +195,7 @@ const model::FitInputs& Study::fit_inputs() {
           std::max(0.0, off.fit_due - ldst->beam.fit_due) / bits;
     }
   }
-  if (sink != nullptr)
-    sink->emit("study_stage", {{"stage", 1},
-                               {"name", "fit_inputs"},
-                               {"wall_ms", stage_timer.elapsed_ms()}});
+  stage.end({{"stage", 1}, {"name", "fit_inputs"}});
   return *inputs_;
 }
 
@@ -327,42 +297,26 @@ Study::CodeEvaluation Study::evaluate(const CatalogEntry& entry, EvalParts parts
   ev.entry = entry;
   ev.name = kernels::entry_name(entry);
 
-  telemetry::Sink* sink = telemetry::resolve(config_.telemetry);
-  obs::TraceWriter* trace = obs::resolve_trace(config_.trace);
-  if (trace != nullptr) {
-    trace->name_process(obs::kWallPid, "gpurel runtime (wall clock)");
-    trace->name_thread(obs::kWallPid, kStudyTid, "study stages");
-  }
-  telemetry::Timer stage_timer;
-  auto stage_done = [&](int stage, const char* name) {
-    const double ms = stage_timer.elapsed_ms();
-    if (config_.progress)
-      std::fprintf(stderr, "[study] stage %d: %s done for %s\n", stage, name,
-                   ev.name.c_str());
-    if (sink != nullptr)
-      sink->emit("study_stage", {{"stage", stage},
-                                 {"name", name},
-                                 {"code", ev.name},
-                                 {"wall_ms", ms}});
-    if (trace != nullptr)
-      trace->complete(std::string(name) + " " + ev.name, "study",
-                      obs::kWallPid, kStudyTid, trace->now_us() - ms * 1000.0,
-                      ms * 1000.0, {{"stage", stage}, {"code", ev.name}});
-    stage_timer.reset();
+  // One Study stage step per part: "<stage> <code>" on the study track.
+  auto run_stage = [&](int stage, const char* name, const auto& body) {
+    obs::Step step =
+        config_.stage("study_stage", std::string(name) + " " + ev.name);
+    body();
+    step.end({{"stage", stage}, {"name", name}, {"code", ev.name}});
   };
 
   // Profiles per toolchain era. The deep-profiled trial also renders the
   // simulated-time timeline when tracing is on.
-  {
-    auto w = kernels::make_workload(
-        entry.base, entry.precision,
-        workload_config(config_.app_scale, isa::CompilerProfile::Cuda10));
-    sim::Device dev(gpu_);
-    ev.profile = profile::profile_workload(*w, dev, trace);
-  }
   auto sassifi = fault::make_injector("SASSIFI");
   auto nvbitfi = fault::make_injector("NVBitFI");
-  {
+  run_stage(2, "profile", [&] {
+    {
+      auto w = kernels::make_workload(
+          entry.base, entry.precision,
+          workload_config(config_.app_scale, isa::CompilerProfile::Cuda10));
+      sim::Device dev(gpu_);
+      ev.profile = profile::profile_workload(*w, dev, config_.sim_timeline());
+    }
     auto probe = kernels::make_workload(
         entry.base, entry.precision,
         workload_config(config_.app_scale, isa::CompilerProfile::Cuda7));
@@ -370,11 +324,10 @@ Study::CodeEvaluation Study::evaluate(const CatalogEntry& entry, EvalParts parts
       sim::Device dev(gpu_);
       ev.profile_cuda7 = profile::profile_workload(*probe, dev);
     }
-  }
-  stage_done(2, "profile");
+  });
 
   // Injection campaigns.
-  if (parts.injections || parts.predictions) {
+  if (parts.injections || parts.predictions) run_stage(2, "injections", [&] {
     ev.sassifi = run_injection(*sassifi, entry, /*aux_modes=*/true,
                                config_.injections_per_kind, nullptr);
     ev.nvbitfi = run_injection(*nvbitfi, entry, /*aux_modes=*/false,
@@ -416,12 +369,11 @@ Study::CodeEvaluation Study::evaluate(const CatalogEntry& entry, EvalParts parts
     auto march = fault::make_injector("MicroArch");
     ev.microarch = run_injection(*march, entry, /*aux_modes=*/false,
                                  /*injections_per_kind=*/0, nullptr);
-    stage_done(2, "injections");
-  }
+  });
 
   // Beam experiments, ECC on and off — through the cache-aware job layer
   // (bit-identical to a direct run_beam; see run_injection).
-  if (parts.beam) {
+  if (parts.beam) run_stage(2, "beam", [&] {
     const std::uint64_t seed =
         config_.seed * 257 + std::hash<std::string>{}(ev.name);
     auto beam_job = [&](bool ecc, std::uint64_t s) {
@@ -432,27 +384,25 @@ Study::CodeEvaluation Study::evaluate(const CatalogEntry& entry, EvalParts parts
     };
     ev.beam_ecc_on = beam_job(true, seed);
     ev.beam_ecc_off = beam_job(false, seed + 1);
-    stage_done(2, "beam");
-  }
+  });
 
   // Predictions (Eq. 1-4) per injector and ECC setting.
   if (parts.predictions) {
-    // The FIT inputs are built lazily and bill their own stage-1 events;
-    // force them now and restart the clock so the stage-3 window below
-    // covers only the predictions themselves.
+    // The FIT inputs are built lazily and bill their own stage-1 steps;
+    // force them now so the stage-3 step covers only the predictions.
     fit_inputs();
-    stage_timer.reset();
-    if (ev.sassifi) {
-      const auto& prof = ev.profile_cuda7 ? *ev.profile_cuda7 : ev.profile;
-      ev.pred_sassifi_on = make_prediction(entry, prof, *ev.sassifi, true);
-      ev.pred_sassifi_off = make_prediction(entry, prof, *ev.sassifi, false);
-    }
-    if (ev.nvbitfi) {
-      ev.pred_nvbitfi_on = make_prediction(entry, ev.profile, *ev.nvbitfi, true);
-      ev.pred_nvbitfi_off = make_prediction(entry, ev.profile, *ev.nvbitfi, false);
-    }
-    if (parts.beam) ev.reach = reach_sweep(ev);
-    stage_done(3, "predictions");
+    run_stage(3, "predictions", [&] {
+      if (ev.sassifi) {
+        const auto& prof = ev.profile_cuda7 ? *ev.profile_cuda7 : ev.profile;
+        ev.pred_sassifi_on = make_prediction(entry, prof, *ev.sassifi, true);
+        ev.pred_sassifi_off = make_prediction(entry, prof, *ev.sassifi, false);
+      }
+      if (ev.nvbitfi) {
+        ev.pred_nvbitfi_on = make_prediction(entry, ev.profile, *ev.nvbitfi, true);
+        ev.pred_nvbitfi_off = make_prediction(entry, ev.profile, *ev.nvbitfi, false);
+      }
+      if (parts.beam) ev.reach = reach_sweep(ev);
+    });
   }
   return ev;
 }

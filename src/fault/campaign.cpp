@@ -648,32 +648,32 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   // serially afterwards, so the result is bit-identical for any worker count.
   const unsigned pc_bits = ia_pc_bits(*ref);
 
-  telemetry::Sink* sink = config.resolved_sink();
+  const obs::RunContext& ctx = config.context();
   auto& metrics = obs::Registry::global();
   obs::Counter& m_trials = metrics.counter("gpurel_campaign_trials_total");
   obs::Histogram& m_latency =
       metrics.histogram("gpurel_campaign_trial_latency_ms");
-  telemetry::Timer wall;
-  if (sink != nullptr)
-    sink->emit("campaign_start",
-               {{"injector", result.injector},
-                {"workload", result.workload},
-                {"trials", todo},
-                {"workers", engine.workers().size()},
-                {"ia_pc_bits", pc_bits},
-                {"shard_index", config.shard_index},
-                {"shard_count", config.shard_count},
-                {"resumed_trials", std::uint64_t{skip}},
-                {"fork_epochs", forking ? marks.size() : std::size_t{0}}});
-  if (sink != nullptr)
-    for (std::size_t m = 0; m < zero_site_class.size(); ++m)
-      if (zero_site_class[m])
-        sink->emit("campaign_zero_site_mode",
-                   {{"injector", result.injector},
-                    {"workload", result.workload},
-                    {"model",
-                     std::string(site_class_name(static_cast<SiteClass>(m)))},
-                    {"resolution", "masked"}});
+  // The whole run (trace category "run"; "campaign" is the chunk spans').
+  obs::Step run =
+      ctx.step("campaign_end", "campaign " + result.workload, "run");
+  ctx.event("campaign_start",
+            {{"injector", result.injector},
+             {"workload", result.workload},
+             {"trials", todo},
+             {"workers", engine.workers().size()},
+             {"ia_pc_bits", pc_bits},
+             {"shard_index", config.shard_index},
+             {"shard_count", config.shard_count},
+             {"resumed_trials", std::uint64_t{skip}},
+             {"fork_epochs", forking ? marks.size() : std::size_t{0}}});
+  for (std::size_t m = 0; m < zero_site_class.size(); ++m)
+    if (zero_site_class[m])
+      ctx.event("campaign_zero_site_mode",
+                {{"injector", result.injector},
+                 {"workload", result.workload},
+                 {"model",
+                  std::string(site_class_name(static_cast<SiteClass>(m)))},
+                 {"resolution", "masked"}});
 
   // Per-trial records stay indexed by the *global* trial id (sparse under
   // sharding) so trial_cycles_out keeps its documented indexing.
@@ -970,49 +970,8 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
     obs::PropagationReport rep;
     for (std::size_t p = 0; p < todo; ++p) rep.add(records[owned[skip + p]]);
     result.propagation = std::move(rep);
-    if (sink != nullptr) {
-      for (std::size_t p = 0; p < todo; ++p) {
-        const obs::PropagationRecord& rec = records[owned[skip + p]];
-        auto site_name = [&](std::string_view s) {
-          return rec.fired ? std::string(s) : std::string();
-        };
-        sink->emit(
-            "propagation_record",
-            {{"schema_version", obs::kPropagationSchemaVersion},
-             {"trial", rec.trial},
-             {"model", rec.model},
-             {"fired", rec.fired},
-             {"effect", rec.effect},
-             {"kind", site_name(isa::unit_kind_name(rec.site_kind))},
-             {"mix", site_name(isa::mix_class_name(rec.site_mix))},
-             {"opcode", site_name(isa::opcode_name(rec.site_opcode))},
-             {"bit", rec.bit},
-             {"pc", rec.pc},
-             {"sm", rec.sm},
-             {"warp", rec.warp},
-             {"lane", rec.lane},
-             {"cta", rec.cta},
-             {"cycle", rec.cycle},
-             {"lane_instr", rec.lane_instr},
-             {"regs_touched", rec.regs_touched},
-             {"preds_touched", rec.preds_touched},
-             {"shared_bytes", rec.shared_bytes},
-             {"global_bytes", rec.global_bytes},
-             {"warps_reached", rec.warps_reached},
-             {"blocks_reached", rec.blocks_reached},
-             {"control_divergences", rec.control_divergences},
-             {"overwrite_kills", rec.overwrite_kills},
-             {"masking_depth", rec.masking_depth},
-             {"taint_live_at_end", rec.taint_live_at_end},
-             {"outcome", rec.outcome},
-             {"due", rec.due},
-             {"due_cause", rec.due_cause},
-             {"geometry", rec.geometry},
-             {"corrupted_elems", rec.corrupted_elems},
-             {"output_rows", rec.output_rows},
-             {"output_cols", rec.output_cols}});
-      }
-    }
+    for (std::size_t p = 0; p < todo; ++p)
+      ctx.event("propagation_record", records[owned[skip + p]].to_json());
     if (config.propagation_records_out != nullptr)
       *config.propagation_records_out = std::move(records);
   }
@@ -1058,21 +1017,17 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   count_outcomes("cta", "all", result.cta);
   count_outcomes("warp_control", "all", result.warp_control);
 
-  if (sink != nullptr) {
-    OutcomeCounts all;
-    for (std::size_t p = 0; p < todo; ++p) all.add(outcomes[owned[skip + p]]);
-    const double ms = wall.elapsed_ms();
-    sink->emit("campaign_end",
-               {{"injector", result.injector},
-                {"workload", result.workload},
-                {"trials", todo},
-                {"masked", all.masked},
-                {"sdc", all.sdc},
-                {"due", all.due},
-                {"wall_ms", ms},
-                {"trials_per_sec",
-                 ms > 0 ? 1000.0 * static_cast<double>(todo) / ms : 0.0}});
-  }
+  OutcomeCounts all;
+  for (std::size_t p = 0; p < todo; ++p) all.add(outcomes[owned[skip + p]]);
+  const double ms = run.elapsed_ms();
+  run.end({{"injector", result.injector},
+           {"workload", result.workload},
+           {"trials", todo},
+           {"masked", all.masked},
+           {"sdc", all.sdc},
+           {"due", all.due},
+           {"trials_per_sec",
+            ms > 0 ? 1000.0 * static_cast<double>(todo) / ms : 0.0}});
   return result;
 }
 

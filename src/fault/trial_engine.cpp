@@ -5,7 +5,6 @@
 
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace gpurel::fault {
 
@@ -28,13 +27,9 @@ TrialEngine::TrialEngine(std::string kind, std::string unit,
     : kind_(std::move(kind)),
       unit_(std::move(unit)),
       factory_(factory),
-      sink_(context.resolved_sink()),
-      trace_(context.resolved_trace()),
-      progress_(context.progress),
+      context_(context),
       workers_(std::max(1u, workers)) {
   workers_[0] = prepare_worker(factory_, "run_" + kind_);
-  if (trace_ != nullptr)
-    trace_->name_process(obs::kWallPid, "gpurel runtime (wall clock)");
 }
 
 std::vector<std::size_t> TrialEngine::shard(std::size_t count,
@@ -98,37 +93,27 @@ TrialWorker& TrialEngine::worker(std::size_t i) {
 
 void TrialEngine::run(std::size_t total, const ChunkBody& body,
                       const ChunkDone& on_done) {
-  const std::string label = kind_ + " " + workers_[0].w->name();
-  const std::string chunk_event = kind_ + "_chunk";
-  telemetry::Progress progress(progress_, label, total);
+  obs::ChunkMeter meter(context_, kind_ + "_chunk",
+                        kind_ + " " + workers_[0].w->name(), kind_, total);
   telemetry::Counter done;
-  if (capture_pending_ && sink_ != nullptr)
-    sink_->emit(kind_ + "_snapshot_capture",
-                {{"workload", workers_[0].w->name()},
-                 {"epochs", snaps_.size()},
-                 {"image_bytes", capture_bytes_}});
+  if (capture_pending_)
+    context_.event(kind_ + "_snapshot_capture",
+                   {{"workload", workers_[0].w->name()},
+                    {"epochs", snaps_.size()},
+                    {"image_bytes", capture_bytes_}});
   capture_pending_ = false;
 
   // Each puller id is used by one thread at a time, so its worker slot needs
   // no synchronisation.
   auto run_range = [&](std::size_t w, std::size_t begin, std::size_t end) {
     TrialWorker& st = worker(w);
-    const double t0 = trace_ != nullptr ? trace_->now_us() : 0.0;
+    obs::Step chunk = meter.chunk(static_cast<int>(w), end - begin);
     body(st, begin, end);
-    if (trace_ != nullptr) {
-      trace_->name_thread(obs::kWallPid, static_cast<int>(w),
-                          "worker " + std::to_string(w));
-      trace_->complete(label, kind_, obs::kWallPid, static_cast<int>(w), t0,
-                       trace_->now_us() - t0,
-                       {{"begin", begin}, {unit_, end - begin}});
-    }
     done.add(end - begin);
-    progress.tick(end - begin);
-    if (sink_ != nullptr)
-      sink_->emit(chunk_event, {{"begin", begin},
-                                {"end", end},
-                                {"done", done.value()},
-                                {"total", total}});
+    chunk.end({{"begin", begin},
+               {"end", end},
+               {"done", done.value()},
+               {"total", total}});
     if (on_done) on_done(begin, end);
   };
 

@@ -27,10 +27,6 @@
 #include "sim/device.hpp"
 #include "sim/snapshot.hpp"
 
-namespace gpurel::obs {
-class Counter;
-}  // namespace gpurel::obs
-
 namespace gpurel::fault {
 
 /// One worker's workload instance, prepared on its own device and reused for
@@ -54,7 +50,7 @@ class TrialEngine {
   /// ("campaign", "beam") names the `<kind>_chunk` telemetry event, the
   /// trace category, the "<kind> <workload>" span and progress label, and
   /// the "run_<kind>" prefix of errors; `unit` ("trials", "runs") names the
-  /// span's count argument.
+  /// forked-trial counter.
   TrialEngine(std::string kind, std::string unit,
               const core::WorkloadFactory& factory, unsigned workers,
               const obs::RunContext& context);
@@ -107,9 +103,9 @@ class TrialEngine {
   /// remaining / (4 x workers) positions, clamped to [1, 8]): inline for one
   /// worker, on a pool otherwise.
   /// Emits a pending `<kind>_snapshot_capture` event first (see capture()).
-  /// After each chunk: its trace span, a progress tick, the `<kind>_chunk`
-  /// event {begin, end, done, total}, then `on_done`. Blocks until every
-  /// chunk finished; rethrows the first exception a chunk raised.
+  /// Each chunk is one obs::ChunkMeter step (event, span, progress tick),
+  /// then `on_done`. Blocks until every chunk finished; rethrows the first
+  /// exception a chunk raised.
   void run(std::size_t total, const ChunkBody& body,
            const ChunkDone& on_done = nullptr);
 
@@ -119,15 +115,13 @@ class TrialEngine {
   std::string kind_;
   std::string unit_;
   core::WorkloadFactory factory_;
-  telemetry::Sink* sink_;
-  obs::TraceWriter* trace_;
-  bool progress_;
+  obs::RunContext context_;
   std::vector<TrialWorker> workers_;
   std::vector<sim::Snapshot> snaps_;
   std::uint64_t capture_bytes_ = 0;
   bool capture_pending_ = false;  // capture event not yet emitted
-  obs::Counter* m_restore_bytes_ = nullptr;  // resolved by capture()
-  obs::Counter* m_forked_ = nullptr;
+  telemetry::Counter* m_restore_bytes_ = nullptr;  // resolved by capture()
+  telemetry::Counter* m_forked_ = nullptr;
 };
 
 }  // namespace gpurel::fault

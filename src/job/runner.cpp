@@ -25,8 +25,9 @@ namespace {
 /// resumed from.
 void write_checkpoint(const std::string& path, const std::string& job_key,
                       const fault::CampaignCheckpoint& ck,
-                      obs::TraceWriter* trace) {
-  const double t0 = trace != nullptr ? trace->now_us() : 0.0;
+                      const obs::RunContext& ctx) {
+  obs::Step step =
+      ctx.step("job_checkpoint_write", "checkpoint write", "job");
   Value v = Value::object();
   v.set("schema_version", kResultSchemaVersion);
   v.set("type", "campaign_checkpoint");
@@ -42,10 +43,7 @@ void write_checkpoint(const std::string& path, const std::string& job_key,
       if (!out) throw std::runtime_error("write failed for " + tmp);
     }
     fs::rename(tmp, path);
-    if (trace != nullptr)
-      trace->complete("checkpoint write", "job", obs::kWallPid, 0, t0,
-                      trace->now_us() - t0,
-                      {{"trials_done", ck.trials_done}});
+    step.end({{"trials_done", ck.trials_done}});
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gpurel: checkpoint write failed for %s: %s\n",
                  path.c_str(), e.what());
@@ -82,19 +80,18 @@ std::optional<fault::CampaignCheckpoint> load_checkpoint(
 }  // namespace
 
 JobResult run_job(const JobSpec& spec, const RunOptions& opts) {
-  obs::TraceWriter* trace = opts.context.resolved_trace();
+  const obs::RunContext& ctx = opts.context;
   const std::string key = cache_key(spec);
-  const double t0 = trace != nullptr ? trace->now_us() : 0.0;
+  // The lookup's outcome picks which of its two steps ends.
+  obs::Step run = ctx.step("job_run", "job run", "job");
+  obs::Step hit = ctx.step("job_cache_hit", "job cache hit", "job");
+  obs::Step miss = ctx.step("job_cache_miss", "job cache miss", "job");
   const ResultCache cache(opts.cache_dir);
-  if (std::optional<JobResult> hit = cache.load(spec)) {
-    if (trace != nullptr)
-      trace->complete("job cache hit", "job", obs::kWallPid, 0, t0,
-                      trace->now_us() - t0, {{"key", key}});
-    return std::move(*hit);
+  if (std::optional<JobResult> cached = cache.load(spec)) {
+    hit.end({{"key", key}});
+    return std::move(*cached);
   }
-  if (trace != nullptr && cache.enabled())
-    trace->instant("job cache miss", "job", obs::kWallPid, 0, trace->now_us(),
-                   {{"key", key}});
+  if (cache.enabled()) miss.end({{"key", key}});
 
   core::WorkloadConfig wc{spec.device, spec.profile, spec.input_seed,
                           spec.scale};
@@ -123,15 +120,14 @@ JobResult run_job(const JobSpec& spec, const RunOptions& opts) {
     fault::CampaignCheckpoint resume;
     const bool checkpointing = !opts.checkpoint_path.empty();
     if (checkpointing) {
-      const std::string job_key = cache_key(spec);
       cc.checkpoint_every =
           opts.checkpoint_every != 0 ? opts.checkpoint_every : 64;
-      cc.on_checkpoint = [path = opts.checkpoint_path, job_key,
-                          trace](const fault::CampaignCheckpoint& ck) {
-        write_checkpoint(path, job_key, ck, trace);
+      cc.on_checkpoint = [path = opts.checkpoint_path, key,
+                          ctx](const fault::CampaignCheckpoint& ck) {
+        write_checkpoint(path, key, ck, ctx);
       };
       if (std::optional<fault::CampaignCheckpoint> loaded =
-              load_checkpoint(opts.checkpoint_path, job_key)) {
+              load_checkpoint(opts.checkpoint_path, key)) {
         if (spec.propagation) {
           // A resumed prefix has no per-trial provenance, so the shard
           // restarts from scratch rather than producing a partial report.
@@ -167,13 +163,9 @@ JobResult run_job(const JobSpec& spec, const RunOptions& opts) {
     out.beam = beam::run_beam(db, factory, bc);
   }
 
-  if (trace != nullptr)
-    trace->complete("job run", "job", obs::kWallPid, 0, t0,
-                    trace->now_us() - t0,
-                    {{"key", key}, {"kind", job_kind_name(spec.kind)}});
-  if (cache.store(out) && trace != nullptr)
-    trace->instant("job cache store", "job", obs::kWallPid, 0, trace->now_us(),
-                   {{"key", key}});
+  run.end({{"key", key}, {"kind", job_kind_name(spec.kind)}});
+  obs::Step store = ctx.step("job_cache_store", "job cache store", "job");
+  if (cache.store(out)) store.end({{"key", key}});
   return out;
 }
 

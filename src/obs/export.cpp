@@ -51,12 +51,9 @@ Exporter::Exporter(std::string metrics_path, std::string trace_path)
   if (!trace_path.empty()) {
     try {
       owned_trace_ = std::make_unique<TraceWriter>(trace_path);
-      trace_ = owned_trace_.get();
     } catch (const std::exception& e) {
       std::fprintf(stderr, "gpurel: --trace-out disabled: %s\n", e.what());
     }
-  } else {
-    trace_ = env_trace();
   }
 }
 

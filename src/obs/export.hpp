@@ -1,8 +1,9 @@
 // Command-line plumbing shared by bench and example mains: one Exporter
 // owns the optional --trace-out writer and, on flush/destruction, snapshots
 // the global metrics registry to --metrics-out as JSON plus the Prometheus
-// text exposition alongside it. Empty paths fall back to the GPUREL_METRICS
-// and GPUREL_TRACE environment variables; unset means disabled.
+// text exposition alongside it. An empty metrics path falls back to the
+// GPUREL_METRICS environment variable; an empty trace path leaves trace()
+// null, and the run's obs::RunContext then falls back to GPUREL_TRACE.
 #pragma once
 
 #include <memory>
@@ -18,17 +19,17 @@ std::string prometheus_path_for(const std::string& metrics_path);
 
 class Exporter {
  public:
-  /// Paths may be empty (env fallback applies). An unopenable trace path
-  /// warns and disables tracing rather than aborting the run.
+  /// Paths may be empty (see above). An unopenable trace path warns and
+  /// disables tracing rather than aborting the run.
   Exporter(std::string metrics_path, std::string trace_path);
   ~Exporter();
 
   Exporter(const Exporter&) = delete;
   Exporter& operator=(const Exporter&) = delete;
 
-  /// The trace writer campaigns/profilers should use, or null when tracing
-  /// is disabled. (Metrics need no handle: the registry is process-global.)
-  TraceWriter* trace() const { return trace_; }
+  /// The --trace-out writer, to set as a RunContext's `trace`; null without
+  /// one. (Metrics need no handle: the registry is process-global.)
+  TraceWriter* trace() const { return owned_trace_.get(); }
 
   /// Write metrics (JSON + Prometheus) and close the trace. Idempotent;
   /// also run by the destructor.
@@ -37,7 +38,6 @@ class Exporter {
  private:
   std::string metrics_path_;
   std::unique_ptr<TraceWriter> owned_trace_;
-  TraceWriter* trace_ = nullptr;
   bool flushed_ = false;
 };
 

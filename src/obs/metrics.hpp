@@ -18,18 +18,13 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "common/telemetry.hpp"
 
 namespace gpurel::obs {
 
-/// Monotonic event count (Prometheus counter semantics).
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
+/// Monotonic event count (Prometheus counter semantics): the relaxed atomic
+/// counter the event channels use too.
+using Counter = telemetry::Counter;
 
 /// Last-written instantaneous value (queue depth, AVF, bench timing).
 class Gauge {

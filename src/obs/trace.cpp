@@ -1,7 +1,6 @@
 #include "obs/trace.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace gpurel::obs {
@@ -32,8 +31,7 @@ void append_common(std::string& out, std::string_view name,
   append_ts(out, ts_us);
 }
 
-void append_args(std::string& out,
-                 std::initializer_list<telemetry::Field> args) {
+void append_args(std::string& out, std::span<const telemetry::Field> args) {
   out += ",\"args\":{";
   bool first = true;
   for (const auto& f : args) {
@@ -75,7 +73,7 @@ void TraceWriter::emit(const std::string& event_json) {
 
 void TraceWriter::complete(std::string_view name, std::string_view category,
                            int pid, int tid, double ts_us, double dur_us,
-                           std::initializer_list<telemetry::Field> args) {
+                           std::span<const telemetry::Field> args) {
   // Chrome/Perfetto own the trace-event schema ("ph"/"ts"/"dur"/...); a
   // schema_version field is not part of that format.
   // gpurel-lint: allow(schema-version) externally-owned trace-event format
@@ -88,60 +86,27 @@ void TraceWriter::complete(std::string_view name, std::string_view category,
   emit(out);
 }
 
-void TraceWriter::instant(std::string_view name, std::string_view category,
-                          int pid, int tid, double ts_us,
-                          std::initializer_list<telemetry::Field> args) {
-  std::string out = "{\"ph\":\"i\",\"s\":\"t\",";
-  append_common(out, name, category, pid, tid, ts_us);
-  append_args(out, args);
-  out += '}';
-  emit(out);
-}
-
 void TraceWriter::name_process(int pid, std::string_view name) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!named_processes_.insert(pid).second) return;
-  }
-  std::string out =
-      "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" + std::to_string(pid) +
-      ",\"ts\":0,\"args\":{";
-  telemetry::Field("name", name).append_to(out);
-  out += "}}";
-  emit(out);
+  name_track("process_name", pid, -1, name);
 }
 
 void TraceWriter::name_thread(int pid, int tid, std::string_view name) {
+  name_track("thread_name", pid, tid, name);
+}
+
+void TraceWriter::name_track(const char* kind, int pid, int tid,
+                             std::string_view name) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!named_threads_.insert({pid, tid}).second) return;
+    if (!named_tracks_.insert({pid, tid}).second) return;
   }
-  std::string out =
-      "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" + std::to_string(pid) +
-      ",\"tid\":" + std::to_string(tid) + ",\"ts\":0,\"args\":{";
+  std::string out = std::string("{\"ph\":\"M\",\"name\":\"") + kind +
+                    "\",\"pid\":" + std::to_string(pid);
+  if (tid >= 0) out += ",\"tid\":" + std::to_string(tid);
+  out += ",\"ts\":0,\"args\":{";
   telemetry::Field("name", name).append_to(out);
   out += "}}";
   emit(out);
-}
-
-TraceWriter* env_trace() {
-  struct Holder {
-    TraceWriter* writer = nullptr;
-    Holder() {
-      const char* path = std::getenv("GPUREL_TRACE");
-      if (path == nullptr || path[0] == '\0') return;
-      try {
-        writer = new TraceWriter(path);  // lives until process exit; the
-        // atexit hook below writes the closing bracket so the file is valid
-        // JSON even without an explicit close().
-        std::atexit([] { env_trace()->close(); });
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "gpurel: GPUREL_TRACE disabled: %s\n", e.what());
-      }
-    }
-  };
-  static Holder holder;
-  return holder.writer;
 }
 
 }  // namespace gpurel::obs

@@ -3,8 +3,9 @@
 // file; load the result in https://ui.perfetto.dev or chrome://tracing.
 //
 // Two process groups (pids) keep wall-clock and simulated time apart:
-//   kWallPid — campaign/beam chunks per worker thread, Study stages
-//              (ts = wall-clock microseconds since the writer opened);
+//   kWallPid — the steps of obs::RunContext: campaign/beam chunks per worker
+//              thread, whole runs, job steps, Study stages (ts = wall-clock
+//              microseconds since the writer opened);
 //   kSimPid  — kernel launches and per-SM block residency emitted by
 //              obs::SimTracer (ts = simulated cycles, rendered as "us").
 //
@@ -18,6 +19,7 @@
 #include <initializer_list>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -26,7 +28,7 @@
 
 namespace gpurel::obs {
 
-/// Wall-clock track group: campaign chunks (tid = worker), Study stages.
+/// Wall-clock track group: RunContext steps (tid = worker, or kStudyTid).
 inline constexpr int kWallPid = 1;
 /// Simulated-cycles track group: kernel spans and SM residency lanes.
 inline constexpr int kSimPid = 2;
@@ -47,11 +49,13 @@ class TraceWriter {
   /// Emit one complete ("X") span. `args` become the event's args object.
   void complete(std::string_view name, std::string_view category, int pid,
                 int tid, double ts_us, double dur_us,
-                std::initializer_list<telemetry::Field> args = {});
-  /// Emit an instant ("i") event (thread scope).
-  void instant(std::string_view name, std::string_view category, int pid,
-               int tid, double ts_us,
-               std::initializer_list<telemetry::Field> args = {});
+                std::span<const telemetry::Field> args);
+  void complete(std::string_view name, std::string_view category, int pid,
+                int tid, double ts_us, double dur_us,
+                std::initializer_list<telemetry::Field> args = {}) {
+    complete(name, category, pid, tid, ts_us, dur_us,
+             std::span<const telemetry::Field>(args.begin(), args.size()));
+  }
 
   /// Name a track group / track in the viewer. Idempotent per (pid[, tid]).
   void name_process(int pid, std::string_view name);
@@ -65,24 +69,14 @@ class TraceWriter {
 
  private:
   void emit(const std::string& event_json);
+  void name_track(const char* kind, int pid, int tid, std::string_view name);
 
   std::FILE* file_;
   std::mutex mu_;
   telemetry::Timer since_open_;
   telemetry::Counter emitted_;
   bool first_ = true;
-  std::set<int> named_processes_;
-  std::set<std::pair<int, int>> named_threads_;
+  std::set<std::pair<int, int>> named_tracks_;  // (pid, tid); tid -1: process
 };
-
-/// Process-wide writer configured by GPUREL_TRACE=<path> (nullptr when unset
-/// or empty; opened lazily on first call, warns once if unopenable).
-TraceWriter* env_trace();
-
-/// The writer a component should use: the configured one when non-null, else
-/// the GPUREL_TRACE fallback, else nullptr (disabled).
-inline TraceWriter* resolve_trace(TraceWriter* configured) {
-  return configured != nullptr ? configured : env_trace();
-}
 
 }  // namespace gpurel::obs

@@ -1,4 +1,4 @@
-// Fixture-driven tests for tools/gpurel_lint: every rule (D1-D5, S1, E1)
+// Fixture-driven tests for tools/gpurel_lint: every rule (D1-D5, S1, O1, E1)
 // fires on its bad fixture and stays silent on its good fixture; suppression
 // comments, the baseline file, and the engine-manifest workflow behave as
 // documented in docs/ARCHITECTURE.md §11; the --json schema is pinned.
@@ -58,7 +58,7 @@ std::vector<Finding> analyze_fixture(const std::string& fixture,
   return analyze_source(as_path, read_file(fixtures() / fixture));
 }
 
-// --- Rules D1-D5 and S1: bad fires, good is silent ------------------------
+// --- Rules D1-D5, S1 and O1: bad fires, good is silent ---------------------
 
 TEST(LintRules, UnorderedContainerD1) {
   const auto bad = analyze_fixture("d1_bad.cpp", "src/job/fixture.cpp");
@@ -145,6 +145,36 @@ TEST(LintRules, SchemaVersionS1AppendStyleEmitter) {
       count_rule(analyze_fixture("s1_frag_bad.cpp", "src/common/json.cpp"),
                  "schema-version"),
       0u);
+}
+
+TEST(LintRules, EmissionPathO1) {
+  // telemetry::resolve, resolved_trace and telemetry::Progress.
+  const auto bad = analyze_fixture("o1_bad.cpp", "src/core/fixture.cpp");
+  EXPECT_EQ(count_rule(bad, "emission-path"), 3u)
+      << report_json({bad, 1, "", 0});
+  EXPECT_EQ(count_rule(analyze_fixture("o1_good.cpp", "src/core/fixture.cpp"),
+                       "emission-path"),
+            0u);
+  // The tools are in scope; the channels' own files and the tests are not.
+  EXPECT_EQ(count_rule(analyze_fixture("o1_bad.cpp", "tools/fixture.cpp"),
+                       "emission-path"),
+            3u);
+  for (const char* exempt : {"src/obs/run_context.cpp",
+                             "src/common/telemetry.cpp", "tests/fixture.cpp"})
+    EXPECT_EQ(count_rule(analyze_fixture("o1_bad.cpp", exempt),
+                         "emission-path"),
+              0u)
+        << exempt;
+  // Each forbidden token fires on its own.
+  for (const char* code :
+       {"auto* s = gpurel::telemetry::env_sink();\n",
+        "auto* w = gpurel::obs::env_trace();\n",
+        "auto* w = gpurel::obs::resolve_trace(nullptr);\n",
+        "auto* s = ctx.resolved_sink();\n"})
+    EXPECT_EQ(count_rule(analyze_source("src/job/x.cpp", code),
+                         "emission-path"),
+              1u)
+        << code;
 }
 
 // --- Suppression comments --------------------------------------------------
@@ -380,8 +410,9 @@ TEST(LintReport, JsonSchemaIsPinned) {
 
 TEST(LintReport, RuleCatalogueIsComplete) {
   const std::vector<std::string> expected = {
-      "unordered-container", "wall-clock",     "pointer-key", "float-format",
-      "raw-hash",            "schema-version", "engine-version"};
+      "unordered-container", "wall-clock",    "pointer-key",
+      "float-format",        "raw-hash",      "schema-version",
+      "emission-path",       "engine-version"};
   EXPECT_EQ(rule_names(), expected);
 }
 

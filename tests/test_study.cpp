@@ -124,6 +124,21 @@ TEST(Study, MicrobenchmarksCoverEveryUnitTheModelNeeds) {
   EXPECT_GT(in.sram_bit_fit_sdc, 0.0);
 }
 
+TEST(Study, MicroRunsHonourProgress) {
+  // --progress reaches stage 1's micro beam runs and campaigns, not only
+  // the per-code jobs.
+  StudyConfig c = tiny_config();
+  c.micro_beam_runs = 8;
+  c.micro_injections_per_kind = 2;
+  c.progress = true;
+  Study study(arch::GpuConfig::kepler_k40c(2), c);
+  testing::internal::CaptureStderr();
+  study.microbenchmarks();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("[beam "), std::string::npos) << err;
+  EXPECT_NE(err.find("[campaign "), std::string::npos) << err;
+}
+
 TEST(Study, VoltaInputsIncludeTensorAndBorrowedHalfAvf) {
   Study study(arch::GpuConfig::volta_v100(2), tiny_config());
   const auto& in = study.fit_inputs();

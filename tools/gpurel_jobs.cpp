@@ -130,8 +130,8 @@ int cmd_plan(const Cli& cli) {
   const std::string prefix = cli.get("out");
   if (shards == 0 || prefix.empty()) return usage();
 
-  obs::TraceWriter* trace = obs::env_trace();
-  const double t0 = trace != nullptr ? trace->now_us() : 0.0;
+  // No flags for the channels here: GPUREL_TELEMETRY / GPUREL_TRACE apply.
+  obs::Step step = obs::RunContext{}.step("jobs_plan", "jobs plan", "cli");
   for (unsigned i = 0; i < shards; ++i) {
     const job::JobSpec shard = job::with_shard(spec, i, shards);
     const std::string path = prefix + ".shard" + std::to_string(i) + "of" +
@@ -141,9 +141,7 @@ int cmd_plan(const Cli& cli) {
   }
   std::printf("unsharded cache key: %s\n",
               job::cache_key(job::with_shard(spec, 0, 1)).c_str());
-  if (trace != nullptr)
-    trace->complete("jobs plan", "cli", obs::kWallPid, 0, t0,
-                    trace->now_us() - t0, {{"shards", shards}});
+  step.end({{"shards", shards}});
   return 0;
 }
 
@@ -199,8 +197,7 @@ int cmd_merge(const Cli& cli, const std::vector<std::string>& inputs) {
   const std::string out_path = cli.get("out");
   if (out_path.empty() || inputs.empty()) return usage();
 
-  obs::TraceWriter* trace = obs::env_trace();
-  const double t0 = trace != nullptr ? trace->now_us() : 0.0;
+  obs::Step step = obs::RunContext{}.step("jobs_merge", "jobs merge", "cli");
   std::vector<job::JobResult> shards;
   shards.reserve(inputs.size());
   for (const std::string& path : inputs)
@@ -208,9 +205,7 @@ int cmd_merge(const Cli& cli, const std::vector<std::string>& inputs) {
 
   const job::JobResult merged = job::merge_results(shards);
   write_doc(out_path, job::result_to_json(merged));
-  if (trace != nullptr)
-    trace->complete("jobs merge", "cli", obs::kWallPid, 0, t0,
-                    trace->now_us() - t0, {{"shards", inputs.size()}});
+  step.end({{"shards", inputs.size()}});
   std::printf("%s\t%s\n", out_path.c_str(),
               job::cache_key(merged.spec).c_str());
   return 0;

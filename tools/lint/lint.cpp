@@ -279,6 +279,12 @@ bool in_s1_scope(const std::string& p) {
          !starts_with_any(p, {"src/common/json."});
 }
 
+/// Files that may reach the observability channels directly (O1 exempt):
+/// the channels themselves, and the tests that exercise them.
+bool owns_channels(const std::string& p) {
+  return starts_with_any(p, {"src/obs/", "src/common/telemetry.", "tests/"});
+}
+
 // ---------------------------------------------------------------------------
 // Finding helpers.
 // ---------------------------------------------------------------------------
@@ -340,7 +346,7 @@ class Emitter {
 };
 
 // ---------------------------------------------------------------------------
-// Rules D1-D5 and S1 over one source.
+// Rules D1-D5, S1 and O1 over one source.
 // ---------------------------------------------------------------------------
 
 bool is_unordered_name(const std::string& t) {
@@ -662,6 +668,25 @@ void rule_schema_version(const std::string& path, const SourceView& v,
   }
 }
 
+void rule_emission_path(const std::string& path, const std::vector<Tok>& toks,
+                        Emitter& em) {
+  if (owns_channels(path)) return;
+  static const std::set<std::string> bare = {"resolved_sink", "resolved_trace",
+                                             "resolve_trace", "env_sink",
+                                             "env_trace"};
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    std::string t = toks[i].text;
+    if (t == "telemetry" && i + 3 < toks.size() && toks[i + 1].text == ":" &&
+        toks[i + 2].text == ":")
+      t += "::" + toks[i + 3].text;
+    if (toks[i].ident && (bare.count(t) > 0 || t == "telemetry::resolve" ||
+                          t == "telemetry::Progress"))
+      em.emit("emission-path", toks[i].line,
+              "'" + t + "' reaches a channel around obs::RunContext; report "
+                        "through its event()/step()/stage()/ChunkMeter");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // E1: the engine manifest.
 // ---------------------------------------------------------------------------
@@ -739,8 +764,9 @@ void manifest_finding(std::vector<Finding>& out, const std::string& path,
 
 const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> names = {
-      "unordered-container", "wall-clock",     "pointer-key", "float-format",
-      "raw-hash",            "schema-version", "engine-version"};
+      "unordered-container", "wall-clock",     "pointer-key",
+      "float-format",        "raw-hash",       "schema-version",
+      "emission-path",       "engine-version"};
   return names;
 }
 
@@ -756,6 +782,7 @@ std::vector<Finding> analyze_source(const std::string& rel_path,
   rule_float_format(rel_path, view, toks, em);
   rule_raw_hash(toks, em);
   rule_schema_version(rel_path, view, toks, em);
+  rule_emission_path(rel_path, toks, em);
   return findings;
 }
 

@@ -26,6 +26,9 @@
 //                             structs (field-wise hashing only)
 //   schema-version      (S1)  every hand-rolled JSON document must carry a
 //                             schema_version
+//   emission-path       (O1)  outside src/obs/, common/telemetry.* and tests/,
+//                             nothing reaches the JSONL sink, trace writer or
+//                             progress meter around obs::RunContext
 //   engine-version      (E1)  any token-level edit to a result-determining
 //                             source requires a kEngineVersion bump, tracked
 //                             by a checked-in manifest of token hashes
@@ -47,7 +50,7 @@ namespace gpurel::lint {
 /// tests/test_lint.cpp.
 inline constexpr std::int64_t kLintSchemaVersion = 1;
 
-/// All rule slugs, in catalogue order (D1-D5, S1, E1).
+/// All rule slugs, in catalogue order (D1-D5, S1, O1, E1).
 const std::vector<std::string>& rule_names();
 
 struct Finding {
