@@ -57,10 +57,9 @@ int main(int argc, char** argv) {
     obs.shared_bits = exposure.shared_bit_cycles / exposure.trial_cycles;
   }
   obs.global_bits = static_cast<double>(dev.memory().allocated_bits());
-  obs.mem_avf_sdc = campaign.rf.total() > 0 ? campaign.rf.avf_sdc()
-                                            : campaign.overall_avf_sdc();
-  obs.mem_avf_due = campaign.rf.total() > 0 ? campaign.rf.avf_due()
-                                            : campaign.overall_avf_due();
+  const fault::OutcomeCounts& rf = campaign.of(fault::SiteClass::RegisterFile);
+  obs.mem_avf_sdc = rf.total() > 0 ? rf.avf_sdc() : campaign.overall_avf_sdc();
+  obs.mem_avf_due = rf.total() > 0 ? rf.avf_due() : campaign.overall_avf_due();
 
   // Find the dominant measured arithmetic unit for the targeted scheme.
   isa::UnitKind hot = isa::UnitKind::FFMA;

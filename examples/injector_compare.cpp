@@ -60,15 +60,21 @@ int main(int argc, char** argv) {
   }
   std::fputs(t.to_text().c_str(), stdout);
 
+  auto sassifi = [&](fault::SiteClass c) { return results[0].of(c); };
   std::printf("\nSASSIFI aux modes: predicate SDC %.2f/DUE %.2f, instr-address "
               "SDC %.2f/DUE %.2f, RF SDC %.2f/DUE %.2f,\n"
               "                   store-value SDC %.2f/DUE %.2f, store-address "
               "SDC %.2f/DUE %.2f\n",
-              results[0].pred.avf_sdc(), results[0].pred.avf_due(),
-              results[0].ia.avf_sdc(), results[0].ia.avf_due(),
-              results[0].rf.avf_sdc(), results[0].rf.avf_due(),
-              results[0].store_value.avf_sdc(), results[0].store_value.avf_due(),
-              results[0].store_addr.avf_sdc(), results[0].store_addr.avf_due());
+              sassifi(fault::SiteClass::Predicate).avf_sdc(),
+              sassifi(fault::SiteClass::Predicate).avf_due(),
+              sassifi(fault::SiteClass::InstructionAddress).avf_sdc(),
+              sassifi(fault::SiteClass::InstructionAddress).avf_due(),
+              sassifi(fault::SiteClass::RegisterFile).avf_sdc(),
+              sassifi(fault::SiteClass::RegisterFile).avf_due(),
+              sassifi(fault::SiteClass::StoreValue).avf_sdc(),
+              sassifi(fault::SiteClass::StoreValue).avf_due(),
+              sassifi(fault::SiteClass::StoreAddress).avf_sdc(),
+              sassifi(fault::SiteClass::StoreAddress).avf_due());
   std::printf("overall SDC AVF: SASSIFI %.3f vs NVBitFI %.3f (ratio %.2fx; "
               "paper mean ~1.18x in NVBitFI's favour)\n",
               results[0].overall_avf_sdc(), results[1].overall_avf_sdc(),

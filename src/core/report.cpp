@@ -111,18 +111,16 @@ void write_code_report(std::ostream& os, const Study::CodeEvaluation& ev,
     else t.render_text(os);
 
     // DUE-cause taxonomy (core::DueCause): how each campaign's DUEs
-    // manifested. Campaigns without DUEs contribute no row.
+    // manifested, one column per cause but None, in enum order. Campaigns
+    // without DUEs contribute no row.
     Table d({"injector", "hang", "launch fail", "watchdog", "barrier deadlock",
              "ecc"});
+    static_assert(core::kDueCauses == 6, "one column per DUE cause");
     auto add_causes = [&](const char* name, const fault::CampaignResult& r) {
       if (r.due_causes.total() == 0) return;
-      d.row()
-          .cell(name)
-          .cell_int(static_cast<long long>(r.due_causes.hang))
-          .cell_int(static_cast<long long>(r.due_causes.launch_failure))
-          .cell_int(static_cast<long long>(r.due_causes.watchdog))
-          .cell_int(static_cast<long long>(r.due_causes.barrier_deadlock))
-          .cell_int(static_cast<long long>(r.due_causes.ecc));
+      d.row().cell(name);
+      for (std::size_t c = 1; c < core::kDueCauses; ++c)
+        d.cell_int(static_cast<long long>(r.due_causes.by_cause[c]));
     };
     if (ev.sassifi) add_causes("SASSIFI", *ev.sassifi);
     if (ev.nvbitfi) add_causes("NVBitFI", *ev.nvbitfi);
@@ -263,7 +261,7 @@ json::Value code_report_json(const Study::CodeEvaluation& ev) {
       Value e = Value::object();
       e.set("reach", level.name);
       if (level.granted)
-        e.set("granted", fault::site_class_name(*level.granted));
+        e.set("granted", fault::site_class_names(*level.granted).model);
       e.set("predicted_due", level.predicted_due);
       levels.push_back(std::move(e));
     }

@@ -41,6 +41,19 @@ UnitKind injectable_counterpart(UnitKind k) {
 
 }  // namespace
 
+Study::MemoryBits Study::memory_bits(core::Workload& w) const {
+  sim::Device dev(gpu_);
+  w.prepare(dev);
+  const auto exp = beam::compute_exposure(w, dev.memory().allocated_bits());
+  MemoryBits bits;
+  if (exp.trial_cycles > 0) {
+    bits.rf = exp.rf_bit_cycles / exp.trial_cycles;
+    bits.shared = exp.shared_bit_cycles / exp.trial_cycles;
+  }
+  bits.global = static_cast<double>(dev.memory().allocated_bits());
+  return bits;
+}
+
 Study::Study(arch::GpuConfig gpu, StudyConfig config)
     : gpu_(std::move(gpu)),
       config_(config),
@@ -107,12 +120,7 @@ const std::vector<Study::MicroCharacterization>& Study::microbenchmarks() {
     mc.beam = beam::run_beam(db_, factory, bc);
 
     if (mc.is_rf) {
-      auto w = factory();
-      sim::Device dev(gpu_);
-      w->prepare(dev);
-      const auto exp = beam::compute_exposure(*w, dev.memory().allocated_bits());
-      mc.exposed_bits =
-          exp.trial_cycles > 0 ? exp.rf_bit_cycles / exp.trial_cycles : 0.0;
+      mc.exposed_bits = memory_bits(*factory()).rf;
     } else {
       // Microbenchmark AVF by injection into its own unit (NVBitFI; FP16
       // kinds borrow the single-precision result below, as the tool cannot
@@ -184,10 +192,7 @@ const model::FitInputs& Study::fit_inputs() {
     bc.context() = config_.context();
     bc.ecc = false;
     const auto off = beam::run_beam(db_, factory, bc);
-    auto w = factory();
-    sim::Device dev(gpu_);
-    w->prepare(dev);
-    const double bits = static_cast<double>(dev.memory().allocated_bits());
+    const double bits = memory_bits(*factory()).global;
     if (bits > 0) {
       in.dram_bit_fit_sdc =
           std::max(0.0, off.fit_sdc - ldst->beam.fit_sdc) / bits;
@@ -224,32 +229,15 @@ std::optional<fault::CampaignResult> Study::run_injection(
   // computed (by a previous Study, a sharded gpurel_jobs fan-out, or an
   // earlier run of this process) and is then served from the cache
   // bit-identically; per-trial seeding guarantees the recompute path matches.
+  // A stratum is granted only to injectors that reach its class (the
+  // architectural ones only with aux_modes), so a spec carries no budget its
+  // injector ignores — architectural specs keep their budgets, and cache
+  // keys, byte-identical.
   fault::InjectionBudget budget;
   budget.injections_per_kind = injections_per_kind;
-  if (aux_modes && injector.supports(fault::FaultModel::RegisterFile)) {
-    budget.rf_injections = config_.rf_injections;
-    budget.pred_injections = config_.pred_injections;
-    budget.ia_injections = config_.ia_injections;
-    budget.store_value_injections = config_.store_value_injections;
-    budget.store_addr_injections = config_.store_addr_injections;
-  } else {
-    budget.rf_injections = 0;
-    budget.pred_injections = 0;
-    budget.ia_injections = 0;
-    budget.store_value_injections = 0;
-    budget.store_addr_injections = 0;
-  }
-  // Micro-architectural strata: granted only to injectors that reach the
-  // class, so architectural (SASSIFI/NVBitFI) specs keep their budgets — and
-  // cache keys — byte-identical.
-  if (injector.reaches(fault::SiteClass::Scheduler))
-    budget.sched_injections = config_.sched_injections;
-  if (injector.reaches(fault::SiteClass::Scoreboard))
-    budget.scoreboard_injections = config_.scoreboard_injections;
-  if (injector.reaches(fault::SiteClass::CtaBookkeeping))
-    budget.cta_injections = config_.cta_injections;
-  if (injector.reaches(fault::SiteClass::WarpControl))
-    budget.warp_control_injections = config_.warp_control_injections;
+  for (const fault::SiteClass cls : fault::kStratumClasses)
+    if (injector.reaches(cls) && (aux_modes || fault::is_microarch(cls)))
+      budget.of(cls) = config_.budget().of(cls);
   const std::uint64_t seed =
       config_.seed * 131071 +
       std::hash<std::string>{}(injector.name() + entry.base) +
@@ -261,30 +249,21 @@ std::optional<fault::CampaignResult> Study::run_injection(
   return std::move(job::run_job(spec, run_options()).campaign);
 }
 
-model::FitPrediction Study::make_prediction(const CatalogEntry& entry,
+model::FitPrediction Study::make_prediction(const MemoryBits& bits,
                                             const profile::CodeProfile& prof,
                                             const fault::CampaignResult& avf,
                                             bool ecc) {
-  // Memory exposure of the (Cuda10) beam binary.
-  auto w = kernels::make_workload(
-      entry.base, entry.precision,
-      workload_config(config_.app_scale, isa::CompilerProfile::Cuda10));
-  sim::Device dev(gpu_);
-  w->prepare(dev);
-  const auto exp = beam::compute_exposure(*w, dev.memory().allocated_bits());
-
   model::CodeObservables obs;
   obs.profile = prof;
   obs.avf = &avf;
   obs.ecc = ecc;
-  if (exp.trial_cycles > 0) {
-    obs.rf_bits = exp.rf_bit_cycles / exp.trial_cycles;
-    obs.shared_bits = exp.shared_bit_cycles / exp.trial_cycles;
-  }
-  obs.global_bits = static_cast<double>(dev.memory().allocated_bits());
-  if (avf.rf.total() > 0) {
-    obs.mem_avf_sdc = avf.rf.avf_sdc();
-    obs.mem_avf_due = avf.rf.avf_due();
+  obs.rf_bits = bits.rf;
+  obs.shared_bits = bits.shared;
+  obs.global_bits = bits.global;
+  const fault::OutcomeCounts& rf = avf.of(fault::SiteClass::RegisterFile);
+  if (rf.total() > 0) {
+    obs.mem_avf_sdc = rf.avf_sdc();
+    obs.mem_avf_due = rf.avf_due();
   } else {
     obs.mem_avf_sdc = avf.overall_avf_sdc();
     obs.mem_avf_due = avf.overall_avf_due();
@@ -392,14 +371,23 @@ Study::CodeEvaluation Study::evaluate(const CatalogEntry& entry, EvalParts parts
     // force them now so the stage-3 step covers only the predictions.
     fit_inputs();
     run_stage(3, "predictions", [&] {
+      // Memory exposure of the (Cuda10) beam binary, shared by every
+      // prediction of this code.
+      std::optional<MemoryBits> bits;
+      if (ev.sassifi || ev.nvbitfi)
+        bits = memory_bits(*kernels::make_workload(
+            entry.base, entry.precision,
+            workload_config(config_.app_scale, isa::CompilerProfile::Cuda10)));
       if (ev.sassifi) {
         const auto& prof = ev.profile_cuda7 ? *ev.profile_cuda7 : ev.profile;
-        ev.pred_sassifi_on = make_prediction(entry, prof, *ev.sassifi, true);
-        ev.pred_sassifi_off = make_prediction(entry, prof, *ev.sassifi, false);
+        ev.pred_sassifi_on = make_prediction(*bits, prof, *ev.sassifi, true);
+        ev.pred_sassifi_off = make_prediction(*bits, prof, *ev.sassifi, false);
       }
       if (ev.nvbitfi) {
-        ev.pred_nvbitfi_on = make_prediction(entry, ev.profile, *ev.nvbitfi, true);
-        ev.pred_nvbitfi_off = make_prediction(entry, ev.profile, *ev.nvbitfi, false);
+        ev.pred_nvbitfi_on =
+            make_prediction(*bits, ev.profile, *ev.nvbitfi, true);
+        ev.pred_nvbitfi_off =
+            make_prediction(*bits, ev.profile, *ev.nvbitfi, false);
       }
       if (parts.beam) ev.reach = reach_sweep(ev);
     });
@@ -421,8 +409,9 @@ std::optional<Study::ReachSweep> Study::reach_sweep(const CodeEvaluation& ev) {
   }
   if (base == nullptr || !ev.microarch) return std::nullopt;
   const fault::CampaignResult& ma = *ev.microarch;
-  const std::uint64_t total_sites = ma.scheduler_sites + ma.scoreboard_sites +
-                                    ma.cta_sites + ma.warp_control_sites;
+  std::uint64_t total_sites = 0;
+  for (const fault::SiteClass cls : fault::kMicroArchClasses)
+    total_sites += ma.sites_of(cls);
   if (total_sites == 0) return std::nullopt;
 
   ReachSweep sweep;
@@ -440,26 +429,12 @@ std::optional<Study::ReachSweep> Study::reach_sweep(const CodeEvaluation& ev) {
   // rate, split over the classes by static-site share, derated by the
   // class's MicroArch-measured DUE AVF. Non-negative terms keep the sweep
   // monotone, and the full-reach level stays <= base + hidden_due.
-  const struct {
-    const char* name;
-    fault::SiteClass cls;
-    std::uint64_t sites;
-    const fault::OutcomeCounts* counts;
-  } grants[] = {
-      {"+scheduler", fault::SiteClass::Scheduler, ma.scheduler_sites,
-       &ma.scheduler},
-      {"+scoreboards", fault::SiteClass::Scoreboard, ma.scoreboard_sites,
-       &ma.scoreboard},
-      {"+cta-bookkeeping", fault::SiteClass::CtaBookkeeping, ma.cta_sites,
-       &ma.cta},
-      {"+warp-control", fault::SiteClass::WarpControl, ma.warp_control_sites,
-       &ma.warp_control},
-  };
-  for (const auto& g : grants) {
-    const double share = static_cast<double>(g.sites) /
+  for (const fault::SiteClass cls : fault::kMicroArchClasses) {
+    const double share = static_cast<double>(ma.sites_of(cls)) /
                          static_cast<double>(total_sites);
-    cum += sweep.hidden_due * share * g.counts->avf_due();
-    sweep.levels.push_back({g.name, g.cls, cum});
+    cum += sweep.hidden_due * share * ma.of(cls).avf_due();
+    sweep.levels.push_back(
+        {std::string(fault::site_class_names(cls).reach), cls, cum});
   }
   return sweep;
 }

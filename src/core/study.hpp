@@ -194,7 +194,16 @@ class Study {
   std::optional<fault::CampaignResult> run_injection(
       const fault::Injector& injector, const kernels::CatalogEntry& entry,
       bool aux_modes, unsigned injections_per_kind, bool* substituted);
-  model::FitPrediction make_prediction(const kernels::CatalogEntry& entry,
+  /// Memory bits a strike can hit in one workload: time-averaged resident
+  /// register-file and shared-memory bits, and allocated device-memory bits.
+  struct MemoryBits {
+    double rf = 0.0;
+    double shared = 0.0;
+    double global = 0.0;
+  };
+  /// Prepares `w` on this Study's device and measures its MemoryBits.
+  MemoryBits memory_bits(core::Workload& w) const;
+  model::FitPrediction make_prediction(const MemoryBits& bits,
                                        const profile::CodeProfile& prof,
                                        const fault::CampaignResult& avf,
                                        bool ecc);

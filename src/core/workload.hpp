@@ -52,6 +52,7 @@ enum class DueCause : std::uint8_t {
   Ecc,              // uncorrectable-ECC abort
   kCount,
 };
+constexpr std::size_t kDueCauses = static_cast<std::size_t>(DueCause::kCount);
 std::string_view due_cause_name(DueCause c);
 DueCause due_cause_of(sim::DueKind k);
 

@@ -34,24 +34,19 @@ void OutcomeCounts::merge(const OutcomeCounts& other) {
   due += other.due;
 }
 
+std::uint64_t DueCauseCounts::total() const {
+  std::uint64_t t = 0;
+  for (const std::uint64_t n : by_cause) t += n;
+  return t;
+}
+
 void DueCauseCounts::add(core::DueCause c) {
-  switch (c) {
-    case core::DueCause::None: break;
-    case core::DueCause::Hang: ++hang; break;
-    case core::DueCause::LaunchFailure: ++launch_failure; break;
-    case core::DueCause::Watchdog: ++watchdog; break;
-    case core::DueCause::BarrierDeadlock: ++barrier_deadlock; break;
-    case core::DueCause::Ecc: ++ecc; break;
-    case core::DueCause::kCount: break;
-  }
+  if (c != core::DueCause::None) ++by_cause[static_cast<std::size_t>(c)];
 }
 
 void DueCauseCounts::merge(const DueCauseCounts& other) {
-  hang += other.hang;
-  launch_failure += other.launch_failure;
-  watchdog += other.watchdog;
-  barrier_deadlock += other.barrier_deadlock;
-  ecc += other.ecc;
+  for (std::size_t c = 0; c < by_cause.size(); ++c)
+    by_cause[c] += other.by_cause[c];
 }
 
 namespace {
@@ -109,22 +104,16 @@ class CountingObserver final : public sim::SimObserver {
   }
 
   void after_exec(sim::ExecContext& ctx) override {
-    ++total_lane_;
-    if (isa::writes_predicate(ctx.instr->op)) ++pred_;
+    ++counts_.total_lane;
+    if (isa::writes_predicate(ctx.instr->op)) ++counts_.pred;
     if (ctx.instr->op == isa::Opcode::STG || ctx.instr->op == isa::Opcode::STS)
-      ++stores_;
+      ++counts_.stores;
     if (inj_.eligible_output(*ctx.instr))
-      ++per_kind_[static_cast<std::size_t>(isa::unit_kind(ctx.instr->op))];
+      ++counts_
+            .per_kind[static_cast<std::size_t>(isa::unit_kind(ctx.instr->op))];
   }
 
-  SiteCounts counts() const {
-    SiteCounts sites;
-    sites.per_kind = per_kind_;
-    sites.pred = pred_;
-    sites.stores = stores_;
-    sites.total_lane = total_lane_;
-    return sites;
-  }
+  const SiteCounts& counts() const { return counts_; }
 
  private:
   void flush() {
@@ -139,20 +128,14 @@ class CountingObserver final : public sim::SimObserver {
                                                   std::uint64_t>::max()
                                         ? 0
                                         : cycle_);
-      e.at.per_kind = per_kind_;
-      e.at.pred = pred_;
-      e.at.stores = stores_;
-      e.at.total_lane = total_lane_;
+      e.at = counts_;
       epochs_->push_back(e);
       ++next_mark_;
     }
   }
 
   const Injector& inj_;
-  std::array<std::uint64_t, kKinds> per_kind_{};
-  std::uint64_t pred_ = 0;
-  std::uint64_t stores_ = 0;
-  std::uint64_t total_lane_ = 0;
+  SiteCounts counts_;
   const std::vector<std::uint64_t>* marks_;
   std::vector<EpochSites>* epochs_;
   std::uint64_t lanes_ = 0;   // issue-domain cumulative lane instructions
@@ -164,7 +147,7 @@ class CountingObserver final : public sim::SimObserver {
 /// One-shot single-fault observer.
 class InjectionObserver final : public sim::SimObserver {
  public:
-  FaultModel mode = FaultModel::InstructionOutput;
+  SiteClass mode = SiteClass::InstructionOutput;
   const Injector* inj = nullptr;
   UnitKind target_kind = UnitKind::OTHER;
   std::uint64_t target_index = 0;   // among this mode's eligible sites
@@ -187,7 +170,7 @@ class InjectionObserver final : public sim::SimObserver {
   unsigned wants() const override {
     if (fired && !restore_pending_) return 0u;
     const bool store_mode =
-        mode == FaultModel::StoreValue || mode == FaultModel::StoreAddress;
+        mode == SiteClass::StoreValue || mode == SiteClass::StoreAddress;
     return store_mode ? (kWantsBeforeExec | kWantsAfterExec) : kWantsAfterExec;
   }
 
@@ -196,14 +179,14 @@ class InjectionObserver final : public sim::SimObserver {
   // operand latch, not the register file).
   void before_exec(sim::ExecContext& ctx) override {
     if (fired) return;
-    if (mode != FaultModel::StoreValue && mode != FaultModel::StoreAddress)
+    if (mode != SiteClass::StoreValue && mode != SiteClass::StoreAddress)
       return;
     const bool is_store =
         ctx.instr->op == isa::Opcode::STG || ctx.instr->op == isa::Opcode::STS;
     if (!is_store) return;
     if (store_count_++ != target_index) return;
     const std::uint8_t reg =
-        mode == FaultModel::StoreAddress ? ctx.instr->src[0] : ctx.instr->src[1];
+        mode == SiteClass::StoreAddress ? ctx.instr->src[0] : ctx.instr->src[1];
     fired = true;
     if (prop != nullptr)
       prop->note_injection(ctx,
@@ -226,7 +209,7 @@ class InjectionObserver final : public sim::SimObserver {
     }
     if (fired) return;
     switch (mode) {
-      case FaultModel::InstructionOutput: {
+      case SiteClass::InstructionOutput: {
         if (!inj->eligible_output(*ctx.instr)) return;
         if (isa::unit_kind(ctx.instr->op) != target_kind) return;
         if (count_++ != target_index) return;
@@ -245,7 +228,7 @@ class InjectionObserver final : public sim::SimObserver {
                                bsel, reg);
         break;
       }
-      case FaultModel::Predicate: {
+      case SiteClass::Predicate: {
         if (!isa::writes_predicate(ctx.instr->op)) return;
         if (count_++ != target_index) return;
         const std::uint8_t p = ctx.instr->dst & 0x07;
@@ -259,7 +242,7 @@ class InjectionObserver final : public sim::SimObserver {
                                p, p);
         break;
       }
-      case FaultModel::InstructionAddress: {
+      case SiteClass::InstructionAddress: {
         if (count_++ != target_index) return;
         // ia_bit is sampled in [0, ia_pc_bits(workload)), so the flip is
         // applied verbatim — every sampled bit is reachable.
@@ -270,7 +253,7 @@ class InjectionObserver final : public sim::SimObserver {
               ctx, obs::PropagationObserver::Seed::ControlFlow, ia_bit, 0);
         break;
       }
-      case FaultModel::RegisterFile: {
+      case SiteClass::RegisterFile: {
         if (count_++ != target_index) return;
         ctx.regs->set(static_cast<std::uint8_t>(rf_reg),
                       flip_bit32(ctx.regs->get(static_cast<std::uint8_t>(rf_reg)),
@@ -284,9 +267,11 @@ class InjectionObserver final : public sim::SimObserver {
                                bit % 32, rf_reg);
         break;
       }
-      case FaultModel::StoreValue:
-      case FaultModel::StoreAddress:
+      case SiteClass::StoreValue:
+      case SiteClass::StoreAddress:
         break;  // handled in before_exec
+      default:
+        break;  // micro-architectural classes strike via MicroArchObserver
     }
   }
 
@@ -357,77 +342,55 @@ SiteCounts count_prepared(const Injector& injector, core::Workload& w,
 /// Upper bound on the trials this process simulates: every requested trial,
 /// split over the shards, less a resumed prefix.
 std::uint64_t budgeted_trials(const CampaignConfig& c) {
-  const std::uint64_t requested =
-      std::uint64_t{kKinds} * c.injections_per_kind + c.rf_injections +
-      c.pred_injections + c.ia_injections + c.store_value_injections +
-      c.store_addr_injections + c.sched_injections + c.scoreboard_injections +
-      c.cta_injections + c.warp_control_injections;
+  std::uint64_t requested = std::uint64_t{kKinds} * c.injections_per_kind;
+  for (const SiteClass cls : kStratumClasses) requested += c.budget().of(cls);
   const unsigned shards = std::max(1u, c.shard_count);
   const std::uint64_t owned = (requested + shards - 1) / shards;
   const std::uint64_t done = c.resume != nullptr ? c.resume->trials_done : 0;
   return owned > done ? owned - done : 0;
 }
 
-}  // namespace
-
-// Micro-architectural strata fold into the overall AVF weighted by their
-// static site counts (exactly zero mass on architectural campaigns, whose
-// numbers are therefore unchanged to the bit).
-namespace {
-struct Stratum {
-  const OutcomeCounts* counts;
-  std::uint64_t sites;
-};
-
-std::array<Stratum, 5> aux_strata(const CampaignResult& r) {
-  return {{{&r.pred, r.pred_sites},
-           {&r.scheduler, r.scheduler_sites},
-           {&r.scoreboard, r.scoreboard_sites},
-           {&r.cta, r.cta_sites},
-           {&r.warp_control, r.warp_control_sites}}};
+/// Calls f(counts, sites) for every exercised stratum of the overall AVF:
+/// each unit kind's IOV stratum weighted by its dynamic site count, then the
+/// predicate and micro-architectural strata weighted by their site counts
+/// (the latter exactly zero mass on architectural campaigns, whose numbers
+/// are therefore unchanged to the bit). The RF, IA and store strata are
+/// reported on their own.
+template <class F>
+void for_each_weighted_stratum(const CampaignResult& r, F f) {
+  for (const KindStats& k : r.per_kind)
+    if (k.counts.total() > 0) f(k.counts, k.dynamic_sites);
+  for (const SiteClass c : kStratumClasses)
+    if ((c == SiteClass::Predicate || is_microarch(c)) &&
+        r.of(c).total() > 0 && r.sites_of(c) > 0)
+      f(r.of(c), r.sites_of(c));
 }
+
+double overall_avf(const CampaignResult& r,
+                   double (OutcomeCounts::*avf)() const) {
+  double num = 0, den = 0;
+  for_each_weighted_stratum(r, [&](const OutcomeCounts& c, std::uint64_t n) {
+    num += static_cast<double>(n) * (c.*avf)();
+    den += static_cast<double>(n);
+  });
+  return den > 0 ? num / den : 0.0;
+}
+
 }  // namespace
 
 double CampaignResult::overall_avf_sdc() const {
-  double num = 0, den = 0;
-  for (std::size_t k = 0; k < kKinds; ++k) {
-    if (per_kind[k].counts.total() == 0) continue;
-    num += static_cast<double>(per_kind[k].dynamic_sites) *
-           per_kind[k].counts.avf_sdc();
-    den += static_cast<double>(per_kind[k].dynamic_sites);
-  }
-  for (const Stratum& s : aux_strata(*this)) {
-    if (s.counts->total() == 0 || s.sites == 0) continue;
-    num += static_cast<double>(s.sites) * s.counts->avf_sdc();
-    den += static_cast<double>(s.sites);
-  }
-  return den > 0 ? num / den : 0.0;
+  return overall_avf(*this, &OutcomeCounts::avf_sdc);
 }
 
 double CampaignResult::overall_avf_due() const {
-  double num = 0, den = 0;
-  for (std::size_t k = 0; k < kKinds; ++k) {
-    if (per_kind[k].counts.total() == 0) continue;
-    num += static_cast<double>(per_kind[k].dynamic_sites) *
-           per_kind[k].counts.avf_due();
-    den += static_cast<double>(per_kind[k].dynamic_sites);
-  }
-  for (const Stratum& s : aux_strata(*this)) {
-    if (s.counts->total() == 0 || s.sites == 0) continue;
-    num += static_cast<double>(s.sites) * s.counts->avf_due();
-    den += static_cast<double>(s.sites);
-  }
-  return den > 0 ? num / den : 0.0;
+  return overall_avf(*this, &OutcomeCounts::avf_due);
 }
 
 double CampaignResult::overall_masked() const {
   double den = 0;
-  for (std::size_t k = 0; k < kKinds; ++k)
-    if (per_kind[k].counts.total() > 0)
-      den += static_cast<double>(per_kind[k].dynamic_sites);
-  for (const Stratum& s : aux_strata(*this))
-    if (s.counts->total() > 0 && s.sites > 0)
-      den += static_cast<double>(s.sites);
+  for_each_weighted_stratum(*this, [&](const OutcomeCounts&, std::uint64_t n) {
+    den += static_cast<double>(n);
+  });
   if (den <= 0) return 0.0;  // nothing injected: no masked mass either
   return 1.0 - overall_avf_sdc() - overall_avf_due();
 }
@@ -449,11 +412,9 @@ unsigned ia_pc_bits(const core::Workload& w) {
 }
 
 std::uint64_t CampaignResult::total_injections() const {
-  std::uint64_t t = rf.total() + pred.total() + ia.total() +
-                    store_value.total() + store_addr.total() +
-                    scheduler.total() + scoreboard.total() + cta.total() +
-                    warp_control.total();
-  for (const auto& k : per_kind) t += k.counts.total();
+  std::uint64_t t = 0;
+  for (const KindStats& k : per_kind) t += k.counts.total();
+  for (const OutcomeCounts& c : by_class) t += c.total();
   return t;
 }
 
@@ -465,29 +426,14 @@ void CampaignResult::merge(const CampaignResult& other) {
   };
   if (injector != other.injector) mismatch("injector");
   if (workload != other.workload) mismatch("workload");
-  if (pred_sites != other.pred_sites || store_sites != other.store_sites ||
-      total_lane_sites != other.total_lane_sites ||
-      eligible_output_sites != other.eligible_output_sites)
-    mismatch("site count");
-  if (scheduler_sites != other.scheduler_sites ||
-      scoreboard_sites != other.scoreboard_sites ||
-      cta_sites != other.cta_sites ||
-      warp_control_sites != other.warp_control_sites)
-    mismatch("micro-architectural site count");
+  if (sites != other.sites) mismatch("site count");
   for (std::size_t k = 0; k < per_kind.size(); ++k)
     if (per_kind[k].dynamic_sites != other.per_kind[k].dynamic_sites)
       mismatch("per-kind dynamic sites");
   for (std::size_t k = 0; k < per_kind.size(); ++k)
     per_kind[k].counts.merge(other.per_kind[k].counts);
-  rf.merge(other.rf);
-  pred.merge(other.pred);
-  ia.merge(other.ia);
-  store_value.merge(other.store_value);
-  store_addr.merge(other.store_addr);
-  scheduler.merge(other.scheduler);
-  scoreboard.merge(other.scoreboard);
-  cta.merge(other.cta);
-  warp_control.merge(other.warp_control);
+  for (std::size_t c = 0; c < by_class.size(); ++c)
+    by_class[c].merge(other.by_class[c]);
   due_causes.merge(other.due_causes);
   if (other.propagation.has_value()) {
     if (propagation.has_value())
@@ -517,7 +463,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   // has no RF state to strike; silently clamping the sample range to 1 (the
   // old behaviour) injected into a register the program does not own —
   // always masked, silently diluting the reported RF AVF.
-  if (config.rf_injections > 0 && injector.supports(FaultModel::RegisterFile) &&
+  if (config.rf_injections > 0 && injector.reaches(SiteClass::RegisterFile) &&
       ref->max_regs_per_thread() == 0)
     throw std::invalid_argument(
         "run_campaign: RegisterFile injections requested but " + ref->name() +
@@ -568,20 +514,20 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   CampaignResult result;
   result.injector = injector.name();
   result.workload = ref->name();
-  result.pred_sites = sites.pred;
-  result.store_sites = sites.stores;
-  result.total_lane_sites = sites.total_lane;
   for (std::size_t k = 0; k < kKinds; ++k) {
     result.per_kind[k].dynamic_sites = sites.per_kind[k];
-    result.eligible_output_sites += sites.per_kind[k];
+    result.sites_of(SiteClass::InstructionOutput) += sites.per_kind[k];
   }
-  result.scheduler_sites = space.of(SiteClass::Scheduler).sites();
-  result.scoreboard_sites = space.of(SiteClass::Scoreboard).sites();
-  result.cta_sites = space.of(SiteClass::CtaBookkeeping).sites();
-  result.warp_control_sites = space.of(SiteClass::WarpControl).sites();
+  for (const SiteClass cls : kStratumClasses)
+    result.sites_of(cls) = is_microarch(cls)
+                               ? space.of(cls).sites()
+                               : class_sites(sites, cls, UnitKind::OTHER);
 
   // Build the trial list (stratified by kind, plus every other reached
-  // class the budget funds).
+  // class the budget funds, in SiteClass order: the micro-architectural
+  // strata ride strictly after the architectural ones, so the architectural
+  // salt chain — and with it every architectural trial seed — does not
+  // depend on them).
   std::vector<TrialDesc> trials;
   std::uint64_t salt = config.seed;
   for (std::size_t k = 0; k < kKinds; ++k) {
@@ -597,27 +543,14 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   // them, sampling a target from an empty range would have reached
   // Rng::uniform_u64(0), which is undefined.
   std::array<bool, kSiteClasses> zero_site_class{};
-  auto add_stratum = [&](SiteClass cls, unsigned n) {
-    if (!injector.reaches(cls) || n == 0) return;
-    const std::uint64_t cls_sites =
-        is_microarch(cls) ? space.of(cls).sites()
-                          : class_sites(sites, cls, UnitKind::OTHER);
-    if (cls_sites == 0) zero_site_class[static_cast<std::size_t>(cls)] = true;
+  for (const SiteClass cls : kStratumClasses) {
+    const unsigned n = config.budget().of(cls);
+    if (!injector.reaches(cls) || n == 0) continue;
+    if (result.sites_of(cls) == 0)
+      zero_site_class[static_cast<std::size_t>(cls)] = true;
     for (unsigned i = 0; i < n; ++i)
       trials.push_back({cls, UnitKind::OTHER, splitmix64(salt)});
-  };
-  add_stratum(SiteClass::RegisterFile, config.rf_injections);
-  add_stratum(SiteClass::Predicate, config.pred_injections);
-  add_stratum(SiteClass::InstructionAddress, config.ia_injections);
-  add_stratum(SiteClass::StoreValue, config.store_value_injections);
-  add_stratum(SiteClass::StoreAddress, config.store_addr_injections);
-  // Micro-architectural strata ride strictly after the architectural ones so
-  // the architectural salt chain — and with it every pre-existing trial
-  // seed — is byte-for-byte untouched.
-  add_stratum(SiteClass::Scheduler, config.sched_injections);
-  add_stratum(SiteClass::Scoreboard, config.scoreboard_injections);
-  add_stratum(SiteClass::CtaBookkeeping, config.cta_injections);
-  add_stratum(SiteClass::WarpControl, config.warp_control_injections);
+  }
 
   // Shard selection: every shard builds the identical full trial list above
   // and then owns trials t with t % shard_count == shard_index. Outcome
@@ -671,8 +604,8 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
       ctx.event("campaign_zero_site_mode",
                 {{"injector", result.injector},
                  {"workload", result.workload},
-                 {"model",
-                  std::string(site_class_name(static_cast<SiteClass>(m)))},
+                 {"model", std::string(site_class_names(
+                               static_cast<SiteClass>(m)).model)},
                  {"resolution", "masked"}});
 
   // Per-trial records stay indexed by the *global* trial id (sparse under
@@ -691,22 +624,11 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
                              std::size_t p_end) {
     for (std::size_t p = p_begin; p < p_end; ++p) {
       const std::size_t t = owned[skip + p];
-      switch (trials[t].cls) {
-        case SiteClass::InstructionOutput:
-          res.per_kind[static_cast<std::size_t>(trials[t].kind)].counts.add(
-              outcomes[t]);
-          break;
-        case SiteClass::RegisterFile: res.rf.add(outcomes[t]); break;
-        case SiteClass::Predicate: res.pred.add(outcomes[t]); break;
-        case SiteClass::InstructionAddress: res.ia.add(outcomes[t]); break;
-        case SiteClass::StoreValue: res.store_value.add(outcomes[t]); break;
-        case SiteClass::StoreAddress: res.store_addr.add(outcomes[t]); break;
-        case SiteClass::Scheduler: res.scheduler.add(outcomes[t]); break;
-        case SiteClass::Scoreboard: res.scoreboard.add(outcomes[t]); break;
-        case SiteClass::CtaBookkeeping: res.cta.add(outcomes[t]); break;
-        case SiteClass::WarpControl: res.warp_control.add(outcomes[t]); break;
-        case SiteClass::kCount: break;
-      }
+      const TrialDesc& d = trials[t];
+      if (d.cls == SiteClass::InstructionOutput)
+        res.per_kind[static_cast<std::size_t>(d.kind)].counts.add(outcomes[t]);
+      else
+        res.of(d.cls).add(outcomes[t]);
       res.due_causes.add(causes[t]);
     }
   };
@@ -814,7 +736,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
       if (propagation) {
         obs::PropagationRecord& rec = records[t];
         rec.trial = t;
-        rec.model = std::string(site_class_name(desc.cls));
+        rec.model = std::string(site_class_names(desc.cls).model);
         rec.fired = false;
         rec.outcome = "Masked";
       }
@@ -869,7 +791,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
       if (propagation) {
         obs::PropagationRecord rec;
         rec.trial = t;
-        rec.model = std::string(site_class_name(desc.cls));
+        rec.model = std::string(site_class_names(desc.cls).model);
         rec.fired = march.fired();
         rec.effect = march.effect();
         rec.bit = march.site().bit;
@@ -880,7 +802,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
     }
 
     InjectionObserver obs;
-    obs.mode = fault_model_of(desc.cls);
+    obs.mode = desc.cls;
     obs.inj = &injector;
     obs.bit = sample.bit;
     obs.ia_bit = sample.ia_bit;
@@ -895,7 +817,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
     sim::TeeObserver tee(&obs, &prop);
     sim::SimObserver* trial_obs = &obs;
     if (propagation) {
-      prop.begin_trial(t, std::string(site_class_name(desc.cls)));
+      prop.begin_trial(t, std::string(site_class_names(desc.cls).model));
       obs.prop = &prop;
       trial_obs = &tee;
     }
@@ -978,14 +900,16 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
 
   // Registry snapshot of this campaign's outcomes and injection-site
   // coverage (counters accumulate across campaigns in one process).
-  auto count_outcomes = [&](const char* model, const char* kind,
+  auto count_outcomes = [&](std::string_view model, const std::string& kind,
                             const OutcomeCounts& c) {
     if (c.total() == 0) return;
     auto bump = [&](const char* outcome, std::uint64_t n) {
       if (n > 0)
         metrics
             .counter("gpurel_campaign_outcomes_total",
-                     {{"model", model}, {"kind", kind}, {"outcome", outcome}})
+                     {{"model", std::string(model)},
+                      {"kind", kind},
+                      {"outcome", outcome}})
             .add(n);
     };
     bump("masked", c.masked);
@@ -996,7 +920,8 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
     const KindStats& ks = result.per_kind[k];
     const auto kind_name =
         std::string(isa::unit_kind_name(static_cast<UnitKind>(k)));
-    count_outcomes("output", kind_name.c_str(), ks.counts);
+    count_outcomes(site_class_names(SiteClass::InstructionOutput).budget,
+                   kind_name, ks.counts);
     if (ks.dynamic_sites > 0) {
       metrics
           .gauge("gpurel_campaign_dynamic_sites", {{"kind", kind_name}})
@@ -1007,15 +932,8 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
                static_cast<double>(ks.dynamic_sites));
     }
   }
-  count_outcomes("rf", "all", result.rf);
-  count_outcomes("pred", "all", result.pred);
-  count_outcomes("ia", "all", result.ia);
-  count_outcomes("store_value", "all", result.store_value);
-  count_outcomes("store_addr", "all", result.store_addr);
-  count_outcomes("sched", "all", result.scheduler);
-  count_outcomes("scoreboard", "all", result.scoreboard);
-  count_outcomes("cta", "all", result.cta);
-  count_outcomes("warp_control", "all", result.warp_control);
+  for (const SiteClass cls : kStratumClasses)
+    count_outcomes(site_class_names(cls).budget, "all", result.of(cls));
 
   OutcomeCounts all;
   for (std::size_t p = 0; p < todo; ++p) all.add(outcomes[owned[skip + p]]);

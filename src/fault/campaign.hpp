@@ -67,15 +67,13 @@ struct KindStats {
 /// over every injected trial; all-zero — and skipped by the serializers —
 /// when the campaign produced no DUEs.
 struct DueCauseCounts {
-  std::uint64_t hang = 0;
-  std::uint64_t launch_failure = 0;
-  std::uint64_t watchdog = 0;
-  std::uint64_t barrier_deadlock = 0;
-  std::uint64_t ecc = 0;
+  /// Indexed by core::DueCause; the None entry stays zero.
+  std::array<std::uint64_t, core::kDueCauses> by_cause{};
 
-  std::uint64_t total() const {
-    return hang + launch_failure + watchdog + barrier_deadlock + ecc;
+  std::uint64_t of(core::DueCause c) const {
+    return by_cause[static_cast<std::size_t>(c)];
   }
+  std::uint64_t total() const;
   void add(core::DueCause c);
   void merge(const DueCauseCounts& other);
 };
@@ -84,22 +82,19 @@ struct CampaignResult {
   std::string injector;
   std::string workload;
 
+  /// IOV outcome tallies, stratified by unit kind.
   std::array<KindStats, static_cast<std::size_t>(isa::UnitKind::kCount)> per_kind{};
-  OutcomeCounts rf, pred, ia, store_value, store_addr;
-  std::uint64_t pred_sites = 0;
-  std::uint64_t store_sites = 0;  // lane-level STG/STS executions
-  std::uint64_t total_lane_sites = 0;  // all lane executions (IA/RF anchor)
-  std::uint64_t eligible_output_sites = 0;
-
-  /// Micro-architectural strata (MicroArch injector): outcome tallies and
-  /// static site counts per reached class. All-zero on architectural
-  /// campaigns and serialized only when exercised, keeping pre-existing
-  /// results byte-identical.
-  OutcomeCounts scheduler, scoreboard, cta, warp_control;
-  std::uint64_t scheduler_sites = 0;
-  std::uint64_t scoreboard_sites = 0;
-  std::uint64_t cta_sites = 0;
-  std::uint64_t warp_control_sites = 0;
+  /// Outcome tallies of every other stratum, indexed by SiteClass (the
+  /// InstructionOutput entry stays zero). The micro-architectural entries
+  /// are all-zero on architectural campaigns and serialized only when
+  /// exercised, keeping pre-existing results byte-identical.
+  std::array<OutcomeCounts, kSiteClasses> by_class{};
+  /// Site population of every class, indexed by SiteClass: for the
+  /// architectural classes the counting run's dynamic counts (IOV: eligible
+  /// outputs; RF and IA: all lane executions; PR: predicate writes; STV and
+  /// STA: lane-level STG/STS executions), for the micro-architectural ones
+  /// the static site counts of the classes the injector reaches.
+  std::array<std::uint64_t, kSiteClasses> sites{};
 
   /// DUE-cause split over every injected trial of this shard.
   DueCauseCounts due_causes;
@@ -112,13 +107,25 @@ struct CampaignResult {
   const KindStats& kind(isa::UnitKind k) const {
     return per_kind[static_cast<std::size_t>(k)];
   }
+  const OutcomeCounts& of(SiteClass c) const {
+    return by_class[static_cast<std::size_t>(c)];
+  }
+  OutcomeCounts& of(SiteClass c) {
+    return by_class[static_cast<std::size_t>(c)];
+  }
+  std::uint64_t sites_of(SiteClass c) const {
+    return sites[static_cast<std::size_t>(c)];
+  }
+  std::uint64_t& sites_of(SiteClass c) {
+    return sites[static_cast<std::size_t>(c)];
+  }
   /// Per-kind SDC AVF (AVF_INST_i in Eq. 2); 0 when the kind was not hit.
   double avf_sdc(isa::UnitKind k) const { return kind(k).counts.avf_sdc(); }
   double avf_due(isa::UnitKind k) const { return kind(k).counts.avf_due(); }
 
   /// Overall AVF: per-kind results weighted by each kind's dynamic site
-  /// count (plus the predicate stratum when it was exercised), matching a
-  /// uniform-over-reachable-sites campaign.
+  /// count (plus the predicate and micro-architectural strata when they were
+  /// exercised), matching a uniform-over-reachable-sites campaign.
   double overall_avf_sdc() const;
   double overall_avf_due() const;
   /// 1 - overall_avf_sdc() - overall_avf_due() when at least one weighted

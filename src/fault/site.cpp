@@ -1,39 +1,31 @@
 #include "fault/site.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 namespace gpurel::fault {
 
-std::string_view fault_model_name(FaultModel m) {
-  switch (m) {
-    case FaultModel::InstructionOutput: return "IOV";
-    case FaultModel::RegisterFile: return "RF";
-    case FaultModel::Predicate: return "PR";
-    case FaultModel::InstructionAddress: return "IA";
-    case FaultModel::StoreValue: return "STV";
-    case FaultModel::StoreAddress: return "STA";
-  }
-  return "?";
-}
+namespace {
 
-std::string_view site_class_name(SiteClass c) {
-  switch (c) {
-    // The architectural classes keep their legacy model names: JobSpec
-    // strings, telemetry `model` fields, and report rows all spell them
-    // this way, and the hash goldens pin that spelling.
-    case SiteClass::InstructionOutput: return "IOV";
-    case SiteClass::RegisterFile: return "RF";
-    case SiteClass::Predicate: return "PR";
-    case SiteClass::InstructionAddress: return "IA";
-    case SiteClass::StoreValue: return "STV";
-    case SiteClass::StoreAddress: return "STA";
-    case SiteClass::Scheduler: return "SCHED";
-    case SiteClass::Scoreboard: return "SCORE";
-    case SiteClass::CtaBookkeeping: return "CTA";
-    case SiteClass::WarpControl: return "WCTL";
-    case SiteClass::kCount: break;
-  }
-  return "?";
+// One row per SiteClass, in enum order.
+constexpr SiteClassNames kNames[] = {
+    {"IOV", "per_kind", "output", ""},
+    {"RF", "rf", "rf", ""},
+    {"PR", "pred", "pred", ""},
+    {"IA", "ia", "ia", ""},
+    {"STV", "store_value", "store_value", ""},
+    {"STA", "store_addr", "store_addr", ""},
+    {"SCHED", "scheduler", "sched", "+scheduler"},
+    {"SCORE", "scoreboard", "scoreboard", "+scoreboards"},
+    {"CTA", "cta", "cta", "+cta-bookkeeping"},
+    {"WCTL", "warp_control", "warp_control", "+warp-control"},
+};
+static_assert(std::size(kNames) == kSiteClasses);
+
+}  // namespace
+
+const SiteClassNames& site_class_names(SiteClass c) {
+  return kNames[static_cast<std::size_t>(c)];
 }
 
 FaultSite SiteSpace::decode(SiteClass cls, std::uint64_t index) const {

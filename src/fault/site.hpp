@@ -25,6 +25,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -32,31 +33,19 @@
 
 namespace gpurel::fault {
 
-/// Legacy fault-model taxonomy (subset of SASSIFI's modes). Kept verbatim —
-/// JobSpec strings, telemetry model names, and hash goldens are written in
-/// terms of it — and mapped 1:1 onto the architectural site classes below.
-enum class FaultModel : std::uint8_t {
+/// Every class of machine state a fault can strike: the architectural
+/// classes first (SASSIFI's modes, in its order), then the
+/// micro-architectural classes only simulator-level injection can reach.
+/// Enum order is the order of every per-class output (spec budget, result
+/// JSON, metrics, reports) and of a campaign's strata, so a new class is
+/// appended here and gets one row in site.cpp's spelling table.
+enum class SiteClass : std::uint8_t {
   InstructionOutput,   // flip one bit of the destination after execution
   RegisterFile,        // flip one bit of a random allocated register
   Predicate,           // flip the predicate written by a SETP
   InstructionAddress,  // corrupt the warp PC after an instruction issues
   StoreValue,          // flip one bit of the value a store writes out
   StoreAddress,        // flip one bit of a store's address operand
-};
-
-std::string_view fault_model_name(FaultModel m);
-
-/// Every class of machine state a fault can strike. The first six values
-/// mirror FaultModel (same order and numeric values, so the compat shims
-/// below are casts); the rest are the micro-architectural classes only
-/// simulator-level injection can reach.
-enum class SiteClass : std::uint8_t {
-  InstructionOutput,
-  RegisterFile,
-  Predicate,
-  InstructionAddress,
-  StoreValue,
-  StoreAddress,
   Scheduler,       // per-SM wake caches, ready rings, round-robin cursors
   Scoreboard,      // per-warp register/predicate ready times
   CtaBookkeeping,  // resident-block tables: retire and barrier counts
@@ -69,22 +58,49 @@ constexpr std::size_t kSiteClasses = static_cast<std::size_t>(SiteClass::kCount)
 constexpr std::size_t kArchSiteClasses =
     static_cast<std::size_t>(SiteClass::Scheduler);
 
-std::string_view site_class_name(SiteClass c);
-
 constexpr bool is_microarch(SiteClass c) {
   return static_cast<std::size_t>(c) >= kArchSiteClasses &&
          c != SiteClass::kCount;
 }
 
-/// Compat shims: the legacy FaultModel enum embeds into SiteClass (and back,
-/// for the architectural classes). Both directions are value-preserving
-/// casts by construction.
-constexpr SiteClass site_class_of(FaultModel m) {
-  return static_cast<SiteClass>(m);
-}
-constexpr FaultModel fault_model_of(SiteClass c) {
-  return static_cast<FaultModel>(c);
-}
+/// Every class, in enum order.
+inline constexpr std::array<SiteClass, kSiteClasses> kAllSiteClasses = [] {
+  std::array<SiteClass, kSiteClasses> all{};
+  for (std::size_t c = 0; c < kSiteClasses; ++c)
+    all[c] = static_cast<SiteClass>(c);
+  return all;
+}();
+
+/// The classes a campaign budgets and tallies as one stratum each: every
+/// class but InstructionOutput, which is stratified per unit kind instead
+/// (InjectionBudget::injections_per_kind, CampaignResult::per_kind).
+inline constexpr std::span<const SiteClass> kStratumClasses{
+    kAllSiteClasses.data() + 1, kSiteClasses - 1};
+/// The micro-architectural classes, in enum order.
+inline constexpr std::span<const SiteClass> kMicroArchClasses{
+    kAllSiteClasses.data() + kArchSiteClasses, kSiteClasses - kArchSiteClasses};
+
+/// The spellings of one site class. Each is written once, in site.cpp's
+/// table; hash goldens, cached results and report digests pin all of them.
+struct SiteClassNames {
+  /// Model name ("RF", "SCHED"): telemetry `model` fields, propagation
+  /// records, the reach sweep's `granted` field.
+  std::string_view model;
+  /// Campaign-result JSON key of the class's outcome tallies ("rf",
+  /// "scheduler"); micro-architectural classes also store "<key>_sites".
+  /// IOV tallies live under "per_kind".
+  std::string_view result;
+  /// Budget and metric key ("rf", "sched"): the spec budget field
+  /// "<key>_injections", the `gpurel_jobs plan` flag (with '-' for '_'), and
+  /// the `model` label of gpurel_campaign_outcomes_total. IOV's is only its
+  /// metric label ("output"); its budget is injections_per_kind.
+  std::string_view budget;
+  /// Level of the Study's reach sweep that grants the class ("+scheduler");
+  /// empty for the architectural classes, which its base level reaches.
+  std::string_view reach;
+};
+
+const SiteClassNames& site_class_names(SiteClass c);
 
 /// One strikeable bit of machine state.
 struct FaultSite {

@@ -7,6 +7,7 @@
 
 namespace gpurel::job {
 
+using fault::SiteClass;
 using json::Value;
 
 namespace {
@@ -157,42 +158,39 @@ Value campaign_result_to_json(const fault::CampaignResult& r) {
     kinds.push_back(std::move(e));
   }
   v.set("per_kind", std::move(kinds));
-  v.set("rf", counts_to_json(r.rf));
-  v.set("pred", counts_to_json(r.pred));
-  v.set("ia", counts_to_json(r.ia));
-  v.set("store_value", counts_to_json(r.store_value));
-  v.set("store_addr", counts_to_json(r.store_addr));
-  v.set("pred_sites", r.pred_sites);
-  v.set("store_sites", r.store_sites);
-  v.set("total_lane_sites", r.total_lane_sites);
-  v.set("eligible_output_sites", r.eligible_output_sites);
+  for (const SiteClass c : fault::kStratumClasses)
+    if (!fault::is_microarch(c))
+      v.set(std::string(fault::site_class_names(c).result),
+            counts_to_json(r.of(c)));
+  // The dynamic site counts keep their own keys: one count anchors both RF
+  // and IA (every lane execution), one both store classes.
+  v.set("pred_sites", r.sites_of(SiteClass::Predicate));
+  v.set("store_sites", r.sites_of(SiteClass::StoreValue));
+  v.set("total_lane_sites", r.sites_of(SiteClass::RegisterFile));
+  v.set("eligible_output_sites",
+        r.sites_of(SiteClass::InstructionOutput));
   // Micro-architectural strata are serialized only when the injector reaches
   // them (site counts are zero for the SASS-level injectors), so
   // architectural campaigns keep their pre-existing layout here — and a
   // round trip preserves the site constants CampaignResult::merge checks.
   // The DUE-cause split below is additive for any campaign that saw a DUE;
   // readers treat both sections as optional.
-  if (r.scheduler_sites + r.scoreboard_sites + r.cta_sites +
-          r.warp_control_sites >
-      0) {
-    Value m = Value::object();
-    m.set("scheduler", counts_to_json(r.scheduler));
-    m.set("scoreboard", counts_to_json(r.scoreboard));
-    m.set("cta", counts_to_json(r.cta));
-    m.set("warp_control", counts_to_json(r.warp_control));
-    m.set("scheduler_sites", r.scheduler_sites);
-    m.set("scoreboard_sites", r.scoreboard_sites);
-    m.set("cta_sites", r.cta_sites);
-    m.set("warp_control_sites", r.warp_control_sites);
-    v.set("microarch", std::move(m));
+  Value m = Value::object();
+  std::uint64_t microarch_sites = 0;
+  for (const SiteClass c : fault::kMicroArchClasses) {
+    m.set(std::string(fault::site_class_names(c).result),
+          counts_to_json(r.of(c)));
+    microarch_sites += r.sites_of(c);
   }
+  for (const SiteClass c : fault::kMicroArchClasses)
+    m.set(std::string(fault::site_class_names(c).result) + "_sites",
+          r.sites_of(c));
+  if (microarch_sites > 0) v.set("microarch", std::move(m));
   if (r.due_causes.total() > 0) {
     Value d = Value::object();
-    d.set("hang", r.due_causes.hang);
-    d.set("launch_failure", r.due_causes.launch_failure);
-    d.set("watchdog", r.due_causes.watchdog);
-    d.set("barrier_deadlock", r.due_causes.barrier_deadlock);
-    d.set("ecc", r.due_causes.ecc);
+    for (std::size_t c = 1; c < core::kDueCauses; ++c)  // [0] is None
+      d.set(std::string(core::due_cause_name(static_cast<core::DueCause>(c))),
+            r.due_causes.by_cause[c]);
     v.set("due_causes", std::move(d));
   }
   // Only propagation-enabled campaigns carry a report; plain results keep
@@ -212,32 +210,28 @@ fault::CampaignResult campaign_result_from_json(const Value& doc) {
     ks.dynamic_sites = json::get_uint(e, "dynamic_sites");
     ks.counts = counts_from_json(e.at("counts"));
   }
-  r.rf = counts_from_json(doc.at("rf"));
-  r.pred = counts_from_json(doc.at("pred"));
-  r.ia = counts_from_json(doc.at("ia"));
-  r.store_value = counts_from_json(doc.at("store_value"));
-  r.store_addr = counts_from_json(doc.at("store_addr"));
-  r.pred_sites = json::get_uint(doc, "pred_sites");
-  r.store_sites = json::get_uint(doc, "store_sites");
-  r.total_lane_sites = json::get_uint(doc, "total_lane_sites");
-  r.eligible_output_sites = json::get_uint(doc, "eligible_output_sites");
+  for (const SiteClass c : fault::kStratumClasses)
+    if (!fault::is_microarch(c))
+      r.of(c) = counts_from_json(doc.at(fault::site_class_names(c).result));
+  r.sites_of(SiteClass::Predicate) = json::get_uint(doc, "pred_sites");
+  r.sites_of(SiteClass::StoreValue) = r.sites_of(SiteClass::StoreAddress) =
+      json::get_uint(doc, "store_sites");
+  r.sites_of(SiteClass::RegisterFile) =
+      r.sites_of(SiteClass::InstructionAddress) =
+          json::get_uint(doc, "total_lane_sites");
+  r.sites_of(SiteClass::InstructionOutput) =
+      json::get_uint(doc, "eligible_output_sites");
   if (const Value* m = doc.find("microarch")) {
-    r.scheduler = counts_from_json(m->at("scheduler"));
-    r.scoreboard = counts_from_json(m->at("scoreboard"));
-    r.cta = counts_from_json(m->at("cta"));
-    r.warp_control = counts_from_json(m->at("warp_control"));
-    r.scheduler_sites = json::get_uint(*m, "scheduler_sites");
-    r.scoreboard_sites = json::get_uint(*m, "scoreboard_sites");
-    r.cta_sites = json::get_uint(*m, "cta_sites");
-    r.warp_control_sites = json::get_uint(*m, "warp_control_sites");
+    for (const SiteClass c : fault::kMicroArchClasses) {
+      const std::string key(fault::site_class_names(c).result);
+      r.of(c) = counts_from_json(m->at(key));
+      r.sites_of(c) = json::get_uint(*m, key + "_sites");
+    }
   }
-  if (const Value* d = doc.find("due_causes")) {
-    r.due_causes.hang = json::get_uint(*d, "hang");
-    r.due_causes.launch_failure = json::get_uint(*d, "launch_failure");
-    r.due_causes.watchdog = json::get_uint(*d, "watchdog");
-    r.due_causes.barrier_deadlock = json::get_uint(*d, "barrier_deadlock");
-    r.due_causes.ecc = json::get_uint(*d, "ecc");
-  }
+  if (const Value* d = doc.find("due_causes"))
+    for (std::size_t c = 1; c < core::kDueCauses; ++c)  // [0] is None
+      r.due_causes.by_cause[c] = json::get_uint(
+          *d, core::due_cause_name(static_cast<core::DueCause>(c)));
   if (const Value* p = doc.find("propagation"))
     r.propagation = obs::PropagationReport::from_json(*p);
   return r;

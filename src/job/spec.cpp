@@ -10,6 +10,15 @@ namespace gpurel::job {
 
 using json::Value;
 
+namespace {
+
+/// The spec budget field of one stratum ("rf_injections").
+std::string budget_key(fault::SiteClass cls) {
+  return std::string(fault::site_class_names(cls).budget) + "_injections";
+}
+
+}  // namespace
+
 std::string_view job_kind_name(JobKind k) {
   return k == JobKind::Campaign ? "campaign" : "beam";
 }
@@ -34,21 +43,12 @@ Value spec_to_json(const JobSpec& spec) {
     c.set("injector", spec.injector);
     Value b = Value::object();
     b.set("injections_per_kind", spec.budget.injections_per_kind);
-    b.set("rf_injections", spec.budget.rf_injections);
-    b.set("pred_injections", spec.budget.pred_injections);
-    b.set("ia_injections", spec.budget.ia_injections);
-    b.set("store_value_injections", spec.budget.store_value_injections);
-    b.set("store_addr_injections", spec.budget.store_addr_injections);
-    // Micro-architectural strata: serialized only when nonzero, so hashes
-    // of pre-existing (architectural-only) specs do not move.
-    if (spec.budget.sched_injections != 0)
-      b.set("sched_injections", spec.budget.sched_injections);
-    if (spec.budget.scoreboard_injections != 0)
-      b.set("scoreboard_injections", spec.budget.scoreboard_injections);
-    if (spec.budget.cta_injections != 0)
-      b.set("cta_injections", spec.budget.cta_injections);
-    if (spec.budget.warp_control_injections != 0)
-      b.set("warp_control_injections", spec.budget.warp_control_injections);
+    // Every stratum's budget; the micro-architectural ones only when
+    // nonzero, so hashes of pre-existing (architectural-only) specs do not
+    // move.
+    for (const fault::SiteClass cls : fault::kStratumClasses)
+      if (!fault::is_microarch(cls) || spec.budget.of(cls) != 0)
+        b.set(budget_key(cls), spec.budget.of(cls));
     c.set("budget", std::move(b));
     if (spec.propagation) c.set("propagation", spec.propagation);
     v.set("campaign", std::move(c));
@@ -98,22 +98,13 @@ JobSpec spec_from_json(const Value& doc) {
     const Value& c = doc.at("campaign");
     spec.injector = json::get_string(c, "injector");
     const Value& b = c.at("budget");
-    auto u32 = [&](const char* key) {
-      return static_cast<unsigned>(json::get_uint(b, key));
-    };
-    spec.budget.injections_per_kind = u32("injections_per_kind");
-    spec.budget.rf_injections = u32("rf_injections");
-    spec.budget.pred_injections = u32("pred_injections");
-    spec.budget.ia_injections = u32("ia_injections");
-    spec.budget.store_value_injections = u32("store_value_injections");
-    spec.budget.store_addr_injections = u32("store_addr_injections");
-    auto opt_u32 = [&](const char* key, unsigned& out) {
-      if (const Value* f = b.find(key)) out = static_cast<unsigned>(f->as_uint());
-    };
-    opt_u32("sched_injections", spec.budget.sched_injections);
-    opt_u32("scoreboard_injections", spec.budget.scoreboard_injections);
-    opt_u32("cta_injections", spec.budget.cta_injections);
-    opt_u32("warp_control_injections", spec.budget.warp_control_injections);
+    spec.budget.injections_per_kind =
+        static_cast<unsigned>(json::get_uint(b, "injections_per_kind"));
+    for (const fault::SiteClass cls : fault::kStratumClasses) {
+      const std::string key = budget_key(cls);
+      if (fault::is_microarch(cls) && b.find(key) == nullptr) continue;
+      spec.budget.of(cls) = static_cast<unsigned>(json::get_uint(b, key));
+    }
     // Spec files from before execution choices left the spec may carry
     // "fork_delta" or "fork_epochs"; neither names a result-changing choice,
     // so both are ignored.

@@ -41,12 +41,14 @@ void expect_same_campaign(const fault::CampaignResult& a,
     EXPECT_EQ(ka.sdc, kb.sdc) << what << " kind " << k;
     EXPECT_EQ(ka.due, kb.due) << what << " kind " << k;
   }
-  EXPECT_EQ(a.rf.sdc, b.rf.sdc) << what;
-  EXPECT_EQ(a.pred.sdc, b.pred.sdc) << what;
-  EXPECT_EQ(a.ia.sdc, b.ia.sdc) << what;
-  EXPECT_EQ(a.ia.due, b.ia.due) << what;
-  EXPECT_EQ(a.store_value.sdc, b.store_value.sdc) << what;
-  EXPECT_EQ(a.store_addr.due, b.store_addr.due) << what;
+  for (const fault::SiteClass cls : fault::kStratumClasses) {
+    const fault::OutcomeCounts& ca = a.of(cls);
+    const fault::OutcomeCounts& cb = b.of(cls);
+    const std::string_view model = fault::site_class_names(cls).model;
+    EXPECT_EQ(ca.masked, cb.masked) << what << " " << model;
+    EXPECT_EQ(ca.sdc, cb.sdc) << what << " " << model;
+    EXPECT_EQ(ca.due, cb.due) << what << " " << model;
+  }
 }
 
 TEST(Determinism, CampaignBitIdenticalAcrossWorkerCounts) {

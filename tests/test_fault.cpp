@@ -39,9 +39,9 @@ TEST(Injector, SassifiCapabilities) {
   auto s = make_injector("SASSIFI");
   EXPECT_EQ(s->name(), "SASSIFI");
   EXPECT_EQ(s->profile(), CompilerProfile::Cuda7);
-  EXPECT_TRUE(s->supports(FaultModel::Predicate));
-  EXPECT_TRUE(s->supports(FaultModel::InstructionAddress));
-  EXPECT_TRUE(s->supports(FaultModel::RegisterFile));
+  EXPECT_TRUE(s->reaches(SiteClass::Predicate));
+  EXPECT_TRUE(s->reaches(SiteClass::InstructionAddress));
+  EXPECT_TRUE(s->reaches(SiteClass::RegisterFile));
 
   EXPECT_TRUE(s->eligible_output(Instr{.op = Opcode::FFMA}));
   EXPECT_TRUE(s->eligible_output(Instr{.op = Opcode::IADD}));
@@ -54,10 +54,10 @@ TEST(Injector, SassifiCapabilities) {
 TEST(Injector, NvbitfiCapabilities) {
   auto n = make_injector("NVBitFI");
   EXPECT_EQ(n->profile(), CompilerProfile::Cuda10);
-  EXPECT_TRUE(n->supports(FaultModel::InstructionOutput));
-  EXPECT_FALSE(n->supports(FaultModel::Predicate));
-  EXPECT_FALSE(n->supports(FaultModel::InstructionAddress));
-  EXPECT_FALSE(n->supports(FaultModel::RegisterFile));
+  EXPECT_TRUE(n->reaches(SiteClass::InstructionOutput));
+  EXPECT_FALSE(n->reaches(SiteClass::Predicate));
+  EXPECT_FALSE(n->reaches(SiteClass::InstructionAddress));
+  EXPECT_FALSE(n->reaches(SiteClass::RegisterFile));
 
   // GPR-writing instructions are fair game...
   EXPECT_TRUE(n->eligible_output(Instr{.op = Opcode::FFMA}));
@@ -152,6 +152,8 @@ TEST(Campaign, MxMShowsAllThreeOutcomeClasses) {
     return std::make_unique<MxM>(cfg_for(*inj), Precision::Single, 16);
   };
   const auto r = run_campaign(*inj, factory, cc);
+  const OutcomeCounts& ia = r.of(SiteClass::InstructionAddress);
+  const OutcomeCounts& pred = r.of(SiteClass::Predicate);
   // Address-arithmetic faults in MxM produce DUEs, data faults SDCs, and
   // high-bit-of-dead-value faults masks: all three classes must appear.
   std::uint64_t sdc = 0, due = 0, masked = 0;
@@ -161,12 +163,12 @@ TEST(Campaign, MxMShowsAllThreeOutcomeClasses) {
     masked += k.counts.masked;
   }
   EXPECT_GT(sdc, 0u);
-  EXPECT_GT(due + r.ia.due, 0u);
-  EXPECT_GT(masked + r.ia.masked + r.pred.masked, 0u);
+  EXPECT_GT(due + ia.due, 0u);
+  EXPECT_GT(masked + ia.masked + pred.masked, 0u);
   // Instruction-address corruption overwhelmingly crashes or misroutes.
-  EXPECT_GT(r.ia.total(), 0u);
-  EXPECT_GT(r.pred.total(), 0u);
-  EXPECT_GT(r.rf.total(), 0u);
+  EXPECT_GT(ia.total(), 0u);
+  EXPECT_GT(pred.total(), 0u);
+  EXPECT_GT(r.of(SiteClass::RegisterFile).total(), 0u);
 }
 
 TEST(Campaign, RejectsMismatchedProfile) {
@@ -203,21 +205,23 @@ TEST(Campaign, StoreModesExerciseStores) {
     return std::make_unique<MxM>(cfg_for(*inj), Precision::Single, 16);
   };
   const auto r = run_campaign(*inj, factory, cc);
-  EXPECT_GT(r.store_sites, 0u);
-  EXPECT_EQ(r.store_value.total(), 40u);
-  EXPECT_EQ(r.store_addr.total(), 40u);
+  const OutcomeCounts& value = r.of(SiteClass::StoreValue);
+  const OutcomeCounts& addr = r.of(SiteClass::StoreAddress);
+  EXPECT_GT(r.sites_of(SiteClass::StoreValue), 0u);
+  EXPECT_EQ(value.total(), 40u);
+  EXPECT_EQ(addr.total(), 40u);
   // Corrupted store values land in the output: SDC-heavy.
-  EXPECT_GT(r.store_value.avf_sdc(), 0.3);
+  EXPECT_GT(value.avf_sdc(), 0.3);
   // Corrupted store addresses mostly leave the footprint or misalign: DUEs
   // (with some silent wrong-location writes).
-  EXPECT_GT(r.store_addr.avf_due() + r.store_addr.avf_sdc(), 0.3);
-  EXPECT_GT(r.store_addr.avf_due(), r.store_value.avf_due());
+  EXPECT_GT(addr.avf_due() + addr.avf_sdc(), 0.3);
+  EXPECT_GT(addr.avf_due(), value.avf_due());
 }
 
 TEST(Campaign, NvbitfiIgnoresStoreModes) {
   auto inj = make_injector("NVBitFI");
-  EXPECT_FALSE(inj->supports(FaultModel::StoreValue));
-  EXPECT_FALSE(inj->supports(FaultModel::StoreAddress));
+  EXPECT_FALSE(inj->reaches(SiteClass::StoreValue));
+  EXPECT_FALSE(inj->reaches(SiteClass::StoreAddress));
   CampaignConfig cc;
   cc.injections_per_kind = 5;
   cc.store_value_injections = 20;  // requested but unsupported: skipped
@@ -225,16 +229,57 @@ TEST(Campaign, NvbitfiIgnoresStoreModes) {
     return std::make_unique<MxM>(cfg_for(*inj), Precision::Single, 16);
   };
   const auto r = run_campaign(*inj, factory, cc);
-  EXPECT_EQ(r.store_value.total(), 0u);
+  EXPECT_EQ(r.of(SiteClass::StoreValue).total(), 0u);
 }
 
-TEST(Injector, FaultModelNames) {
-  EXPECT_EQ(fault_model_name(FaultModel::InstructionOutput), "IOV");
-  EXPECT_EQ(fault_model_name(FaultModel::RegisterFile), "RF");
-  EXPECT_EQ(fault_model_name(FaultModel::Predicate), "PR");
-  EXPECT_EQ(fault_model_name(FaultModel::InstructionAddress), "IA");
-  EXPECT_EQ(fault_model_name(FaultModel::StoreValue), "STV");
-  EXPECT_EQ(fault_model_name(FaultModel::StoreAddress), "STA");
+// Every spelling of every site class. Spec budgets and their hash goldens,
+// cached result files, telemetry, metric labels, CLI flags and Study reports
+// are all written through this one table, so a changed cell is an output
+// change.
+TEST(Injector, SiteClassSpellings) {
+  struct Row {
+    SiteClass cls;
+    const char* model;
+    const char* result;
+    const char* budget;
+    const char* reach;
+  };
+  const Row rows[] = {
+      {SiteClass::InstructionOutput, "IOV", "per_kind", "output", ""},
+      {SiteClass::RegisterFile, "RF", "rf", "rf", ""},
+      {SiteClass::Predicate, "PR", "pred", "pred", ""},
+      {SiteClass::InstructionAddress, "IA", "ia", "ia", ""},
+      {SiteClass::StoreValue, "STV", "store_value", "store_value", ""},
+      {SiteClass::StoreAddress, "STA", "store_addr", "store_addr", ""},
+      {SiteClass::Scheduler, "SCHED", "scheduler", "sched", "+scheduler"},
+      {SiteClass::Scoreboard, "SCORE", "scoreboard", "scoreboard",
+       "+scoreboards"},
+      {SiteClass::CtaBookkeeping, "CTA", "cta", "cta", "+cta-bookkeeping"},
+      {SiteClass::WarpControl, "WCTL", "warp_control", "warp_control",
+       "+warp-control"},
+  };
+  ASSERT_EQ(std::size(rows), kSiteClasses);
+  for (const Row& row : rows) {
+    const SiteClassNames& n = site_class_names(row.cls);
+    EXPECT_EQ(n.model, row.model);
+    EXPECT_EQ(n.result, row.result) << row.model;
+    EXPECT_EQ(n.budget, row.budget) << row.model;
+    EXPECT_EQ(n.reach, row.reach) << row.model;
+  }
+  // The budget fields the budget keys name, in the same order.
+  InjectionBudget b;
+  unsigned n = 0;
+  for (const SiteClass cls : kAllSiteClasses) b.of(cls) = ++n;
+  EXPECT_EQ(b.injections_per_kind, 1u);
+  EXPECT_EQ(b.rf_injections, 2u);
+  EXPECT_EQ(b.pred_injections, 3u);
+  EXPECT_EQ(b.ia_injections, 4u);
+  EXPECT_EQ(b.store_value_injections, 5u);
+  EXPECT_EQ(b.store_addr_injections, 6u);
+  EXPECT_EQ(b.sched_injections, 7u);
+  EXPECT_EQ(b.scoreboard_injections, 8u);
+  EXPECT_EQ(b.cta_injections, 9u);
+  EXPECT_EQ(b.warp_control_injections, 10u);
 }
 
 TEST(Campaign, OverallMaskedIsZeroWithoutTrials) {
@@ -377,15 +422,15 @@ TEST(Campaign, ZeroSiteModesResolveMaskedWithWarning) {
     cc.telemetry = &sink;
     r = run_campaign(*inj, factory, cc);
   }
-  EXPECT_EQ(r.store_sites, 0u);
-  EXPECT_EQ(r.pred_sites, 0u);
+  EXPECT_EQ(r.sites_of(SiteClass::StoreValue), 0u);
+  EXPECT_EQ(r.sites_of(SiteClass::Predicate), 0u);
   // Every zero-site trial is accounted for, and every one is masked.
-  EXPECT_EQ(r.store_value.total(), 5u);
-  EXPECT_EQ(r.store_value.masked, 5u);
-  EXPECT_EQ(r.store_addr.total(), 5u);
-  EXPECT_EQ(r.store_addr.masked, 5u);
-  EXPECT_EQ(r.pred.total(), 3u);
-  EXPECT_EQ(r.pred.masked, 3u);
+  EXPECT_EQ(r.of(SiteClass::StoreValue).total(), 5u);
+  EXPECT_EQ(r.of(SiteClass::StoreValue).masked, 5u);
+  EXPECT_EQ(r.of(SiteClass::StoreAddress).total(), 5u);
+  EXPECT_EQ(r.of(SiteClass::StoreAddress).masked, 5u);
+  EXPECT_EQ(r.of(SiteClass::Predicate).total(), 3u);
+  EXPECT_EQ(r.of(SiteClass::Predicate).masked, 3u);
   // IOV trials on the exercised kinds still run normally.
   EXPECT_GT(r.total_injections(), 13u);
 
@@ -426,7 +471,7 @@ TEST(Campaign, RejectsRegisterFileModeWithoutRegisters) {
   cc.rf_injections = 0;
   cc.injections_per_kind = 2;
   const auto r = run_campaign(*inj, factory, cc);
-  EXPECT_EQ(r.rf.total(), 0u);
+  EXPECT_EQ(r.of(SiteClass::RegisterFile).total(), 0u);
 }
 
 TEST(OutcomeCounts, Accounting) {

@@ -70,15 +70,9 @@ void expect_same_result(const CampaignResult& a, const CampaignResult& b) {
     expect_same_counts(a.per_kind[k].counts, b.per_kind[k].counts, "per_kind");
     EXPECT_EQ(a.per_kind[k].dynamic_sites, b.per_kind[k].dynamic_sites);
   }
-  expect_same_counts(a.rf, b.rf, "rf");
-  expect_same_counts(a.pred, b.pred, "pred");
-  expect_same_counts(a.ia, b.ia, "ia");
-  expect_same_counts(a.store_value, b.store_value, "store_value");
-  expect_same_counts(a.store_addr, b.store_addr, "store_addr");
-  expect_same_counts(a.scheduler, b.scheduler, "scheduler");
-  expect_same_counts(a.scoreboard, b.scoreboard, "scoreboard");
-  expect_same_counts(a.cta, b.cta, "cta");
-  expect_same_counts(a.warp_control, b.warp_control, "warp_control");
+  for (const SiteClass cls : kStratumClasses)
+    expect_same_counts(a.of(cls), b.of(cls),
+                       site_class_names(cls).model.data());
 }
 
 void expect_same_trials(const RunOut& a, const RunOut& b) {

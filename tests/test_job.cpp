@@ -23,8 +23,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// The reference campaign job used throughout: small but exercising every
-/// fault mode, on a fully pinned device.
+/// The reference campaign job used throughout: small, on a fully pinned
+/// device. NVBitFI reaches only the IOV stratum, so the aux budgets below go
+/// unspent; they still enter the spec, and its hash is a golden.
 JobSpec reference_campaign_spec() {
   fault::InjectionBudget budget;
   budget.injections_per_kind = 8;
@@ -38,6 +39,36 @@ JobSpec reference_campaign_spec() {
                                budget, /*seed=*/7, /*input_seed=*/0x5eed,
                                /*scale=*/0.1);
   return spec;
+}
+
+/// A SASSIFI campaign: IOV plus every other architectural stratum (RF, PR,
+/// IA, both store classes).
+JobSpec sassifi_campaign_spec() {
+  fault::InjectionBudget budget;
+  budget.injections_per_kind = 4;
+  for (const fault::SiteClass cls : fault::kStratumClasses)
+    if (!fault::is_microarch(cls)) budget.of(cls) = 4;
+  return campaign_spec(arch::GpuConfig::kepler_k40c(2),
+                       {"MXM", core::Precision::Single}, "SASSIFI", budget,
+                       /*seed=*/11, /*input_seed=*/0x5eed, /*scale=*/0.05);
+}
+
+/// A MicroArch campaign: the four micro-architectural strata, whose DUEs
+/// fill the result's DUE-cause split.
+JobSpec microarch_campaign_spec() {
+  fault::InjectionBudget budget;
+  budget.injections_per_kind = 0;
+  for (const fault::SiteClass cls : fault::kMicroArchClasses)
+    budget.of(cls) = 8;
+  return campaign_spec(arch::GpuConfig::kepler_k40c(2),
+                       {"MXM", core::Precision::Single}, "MicroArch", budget,
+                       /*seed=*/13, /*input_seed=*/0x5eed, /*scale=*/0.05);
+}
+
+/// Campaign specs that together exercise every stratum and result section.
+std::vector<JobSpec> campaign_specs() {
+  return {reference_campaign_spec(), sassifi_campaign_spec(),
+          microarch_campaign_spec()};
 }
 
 JobSpec reference_beam_spec() {
@@ -180,16 +211,18 @@ TEST(JobSpecTest, RejectsUnknownVersionsAndNames) {
 // ---- sharded execution ----------------------------------------------------
 
 TEST(JobShardTest, CampaignMergeMatchesSingleProcessAcrossShardCounts) {
-  const JobSpec base = reference_campaign_spec();
-  const JobResult whole = run_job(base);
-  const std::string golden = result_dump(whole);
+  for (const JobSpec& base : campaign_specs()) {
+    const JobResult whole = run_job(base);
+    const std::string golden = result_dump(whole);
 
-  for (const unsigned n : {1u, 2u, 4u, 7u}) {
-    std::vector<JobResult> shards;
-    for (unsigned i = 0; i < n; ++i)
-      shards.push_back(run_job(with_shard(base, i, n)));
-    const JobResult merged = merge_results(shards);
-    EXPECT_EQ(result_dump(merged), golden) << n << " shards";
+    for (const unsigned n : {1u, 2u, 4u, 7u}) {
+      std::vector<JobResult> shards;
+      for (unsigned i = 0; i < n; ++i)
+        shards.push_back(run_job(with_shard(base, i, n)));
+      const JobResult merged = merge_results(shards);
+      EXPECT_EQ(result_dump(merged), golden)
+          << base.injector << ", " << n << " shards";
+    }
   }
 }
 
@@ -236,13 +269,31 @@ TEST(JobMergeTest, ValidatesShardSets) {
 // ---- result serialization -------------------------------------------------
 
 TEST(JobResultTest, RoundTripsAreByteIdentical) {
-  for (const JobSpec& spec :
-       {reference_campaign_spec(), reference_beam_spec()}) {
-    const JobResult r = run_job(spec);
+  std::vector<JobSpec> specs = campaign_specs();
+  specs.push_back(reference_beam_spec());
+  std::vector<JobResult> results;
+  for (const JobSpec& spec : specs) {
+    const JobResult& r = results.emplace_back(run_job(spec));
     const std::string bytes = result_dump(r);
     const JobResult back = result_from_json(json::Value::parse(bytes));
-    EXPECT_EQ(result_dump(back), bytes);
+    EXPECT_EQ(result_dump(back), bytes) << job_kind_name(spec.kind) << " "
+                                        << spec.injector;
   }
+
+  // The SASSIFI and MicroArch inputs fill every stratum and optional section
+  // the NVBitFI reference leaves empty.
+  ASSERT_TRUE(results[1].campaign && results[2].campaign);
+  const fault::CampaignResult& sassifi = *results[1].campaign;
+  for (const fault::SiteClass cls : fault::kStratumClasses) {
+    if (fault::is_microarch(cls)) continue;
+    EXPECT_GT(sassifi.of(cls).total(), 0u) << fault::site_class_names(cls).model;
+  }
+  const fault::CampaignResult& march = *results[2].campaign;
+  for (const fault::SiteClass cls : fault::kMicroArchClasses) {
+    EXPECT_GT(march.of(cls).total(), 0u) << fault::site_class_names(cls).model;
+    EXPECT_GT(march.sites_of(cls), 0u) << fault::site_class_names(cls).model;
+  }
+  EXPECT_GT(march.due_causes.total(), 0u);
 }
 
 TEST(JobResultTest, RejectsVersionAndTypeMismatches) {

@@ -78,7 +78,7 @@ TEST(MicroArchSites, EnumerationIsDeterministicAndCataloged) {
           EXPECT_LT(site.instance, comp.slots);
           EXPECT_LT(site.bit, comp.bits);
         }
-      EXPECT_TRUE(in_component) << "class " << site_class_name(cls)
+      EXPECT_TRUE(in_component) << "class " << site_class_names(cls).model
                                 << " index " << index;
     }
   }
@@ -130,10 +130,8 @@ void expect_same_counts(const OutcomeCounts& a, const OutcomeCounts& b,
 TEST(MicroArchCampaign, ByteIdenticalAcrossWorkersAndForkEpochs) {
   const RunOut base = run_micro(1, 0);
   EXPECT_EQ(base.result.total_injections(), 32u);
-  EXPECT_GT(base.result.scheduler_sites, 0u);
-  EXPECT_GT(base.result.scoreboard_sites, 0u);
-  EXPECT_GT(base.result.cta_sites, 0u);
-  EXPECT_GT(base.result.warp_control_sites, 0u);
+  for (const SiteClass cls : kMicroArchClasses)
+    EXPECT_GT(base.result.sites_of(cls), 0u) << site_class_names(cls).model;
 
   for (const unsigned workers : {1u, 2u, 4u}) {
     for (const unsigned epochs : {0u, 1u, 4u, 9u}) {
@@ -145,20 +143,11 @@ TEST(MicroArchCampaign, ByteIdenticalAcrossWorkersAndForkEpochs) {
             << "trial " << t << " workers " << workers << " epochs " << epochs;
         EXPECT_EQ(base.cycles[t], other.cycles[t]) << "trial " << t;
       }
-      expect_same_counts(base.result.scheduler, other.result.scheduler, "sched");
-      expect_same_counts(base.result.scoreboard, other.result.scoreboard,
-                         "scoreboard");
-      expect_same_counts(base.result.cta, other.result.cta, "cta");
-      expect_same_counts(base.result.warp_control, other.result.warp_control,
-                         "warp_control");
-      EXPECT_EQ(base.result.due_causes.hang, other.result.due_causes.hang);
-      EXPECT_EQ(base.result.due_causes.launch_failure,
-                other.result.due_causes.launch_failure);
-      EXPECT_EQ(base.result.due_causes.watchdog,
-                other.result.due_causes.watchdog);
-      EXPECT_EQ(base.result.due_causes.barrier_deadlock,
-                other.result.due_causes.barrier_deadlock);
-      EXPECT_EQ(base.result.due_causes.ecc, other.result.due_causes.ecc);
+      for (const SiteClass cls : kMicroArchClasses)
+        expect_same_counts(base.result.of(cls), other.result.of(cls),
+                           site_class_names(cls).model.data());
+      EXPECT_EQ(base.result.due_causes.by_cause,
+                other.result.due_causes.by_cause);
     }
   }
 }
@@ -166,16 +155,18 @@ TEST(MicroArchCampaign, ByteIdenticalAcrossWorkersAndForkEpochs) {
 TEST(MicroArchCampaign, DueCausesAccountForEveryDue) {
   const RunOut out = run_micro(2, 4);
   const CampaignResult& r = out.result;
-  const std::uint64_t dues = r.scheduler.due + r.scoreboard.due + r.cta.due +
-                             r.warp_control.due;
+  std::uint64_t dues = 0;
+  for (const SiteClass cls : kMicroArchClasses) dues += r.of(cls).due;
   EXPECT_EQ(r.due_causes.total(), dues);
   // The point of the MicroArch injector: it actually produces DUEs, and they
   // manifest as the hidden-state kinds — hangs / launch failures / watchdog
   // / barrier deadlocks — never as ECC aborts (it strikes no memory).
   EXPECT_GT(dues, 0u);
-  EXPECT_EQ(r.due_causes.ecc, 0u);
-  EXPECT_GT(r.due_causes.hang + r.due_causes.launch_failure +
-                r.due_causes.watchdog + r.due_causes.barrier_deadlock,
+  EXPECT_EQ(r.due_causes.of(core::DueCause::Ecc), 0u);
+  EXPECT_GT(r.due_causes.of(core::DueCause::Hang) +
+                r.due_causes.of(core::DueCause::LaunchFailure) +
+                r.due_causes.of(core::DueCause::Watchdog) +
+                r.due_causes.of(core::DueCause::BarrierDeadlock),
             0u);
 }
 
@@ -242,17 +233,16 @@ TEST(SiteModelEquivalence, SassifiReproducesLegacyTallies) {
   EXPECT_EQ(km, 10u);
   EXPECT_EQ(ks, 19u);
   EXPECT_EQ(kd, 7u);
-  expect_pin(r.rf, {2, 2, 2}, "rf");
-  expect_pin(r.pred, {0, 4, 0}, "pred");
-  expect_pin(r.ia, {1, 1, 4}, "ia");
-  expect_pin(r.store_value, {0, 4, 0}, "store_value");
-  expect_pin(r.store_addr, {0, 2, 2}, "store_addr");
+  expect_pin(r.of(SiteClass::RegisterFile), {2, 2, 2}, "rf");
+  expect_pin(r.of(SiteClass::Predicate), {0, 4, 0}, "pred");
+  expect_pin(r.of(SiteClass::InstructionAddress), {1, 1, 4}, "ia");
+  expect_pin(r.of(SiteClass::StoreValue), {0, 4, 0}, "store_value");
+  expect_pin(r.of(SiteClass::StoreAddress), {0, 2, 2}, "store_addr");
   EXPECT_EQ(r.total_injections(), 60u);
   // Architectural campaigns expose no micro-architectural sites; the result
   // serializes byte-identically to pre-redesign builds.
-  EXPECT_EQ(r.scheduler_sites + r.scoreboard_sites + r.cta_sites +
-                r.warp_control_sites,
-            0u);
+  for (const SiteClass cls : kMicroArchClasses)
+    EXPECT_EQ(r.sites_of(cls), 0u) << site_class_names(cls).model;
 }
 
 TEST(SiteModelEquivalence, NvbitfiReproducesLegacyTallies) {
@@ -268,11 +258,8 @@ TEST(SiteModelEquivalence, NvbitfiReproducesLegacyTallies) {
   EXPECT_EQ(kd, 15u);
   // NVBitFI reaches none of the aux architectural classes: the budgets above
   // must not leak into strata the injector cannot strike.
-  EXPECT_EQ(r.rf.total(), 0u);
-  EXPECT_EQ(r.pred.total(), 0u);
-  EXPECT_EQ(r.ia.total(), 0u);
-  EXPECT_EQ(r.store_value.total(), 0u);
-  EXPECT_EQ(r.store_addr.total(), 0u);
+  for (const SiteClass cls : kStratumClasses)
+    EXPECT_EQ(r.of(cls).total(), 0u) << site_class_names(cls).model;
   EXPECT_EQ(r.total_injections(), 36u);
 }
 
@@ -292,14 +279,11 @@ TEST(ReachSweep, MonotoneAndAnchoredOnArchitecturalPrediction) {
   hidden.due = 8;  // 40 of the 50 DUE FIT is hidden-state strikes
 
   fault::CampaignResult ma;
-  ma.scheduler_sites = 1000;
-  ma.scoreboard_sites = 1000;
-  ma.cta_sites = 1000;
-  ma.warp_control_sites = 1000;
-  ma.scheduler = {2, 0, 2};     // DUE AVF 0.5
-  ma.scoreboard = {4, 0, 0};    // DUE AVF 0
-  ma.cta = {1, 1, 2};           // DUE AVF 0.5
-  ma.warp_control = {0, 2, 2};  // DUE AVF 0.5
+  for (const SiteClass cls : kMicroArchClasses) ma.sites_of(cls) = 1000;
+  ma.of(SiteClass::Scheduler) = {2, 0, 2};       // DUE AVF 0.5
+  ma.of(SiteClass::Scoreboard) = {4, 0, 0};      // DUE AVF 0
+  ma.of(SiteClass::CtaBookkeeping) = {1, 1, 2};  // DUE AVF 0.5
+  ma.of(SiteClass::WarpControl) = {0, 2, 2};     // DUE AVF 0.5
   ev.microarch = ma;
 
   const std::optional<Study::ReachSweep> sweep = Study::reach_sweep(ev);

@@ -118,8 +118,10 @@ TEST(Propagation, EnabledCampaignKeepsEveryOutcome) {
     EXPECT_EQ(plain.result.per_kind[k].counts.masked,
               traced.result.per_kind[k].counts.masked);
   }
-  EXPECT_EQ(plain.result.rf.sdc, traced.result.rf.sdc);
-  EXPECT_EQ(plain.result.ia.due, traced.result.ia.due);
+  for (const SiteClass cls : kStratumClasses) {
+    EXPECT_EQ(plain.result.of(cls).sdc, traced.result.of(cls).sdc);
+    EXPECT_EQ(plain.result.of(cls).due, traced.result.of(cls).due);
+  }
 
   // The report covers every trial and its terminal splits match the tallies.
   const PropagationReport& rep = *traced.result.propagation;

@@ -27,6 +27,7 @@
 //
 // Exit status: 0 on success, 1 on bad usage, 2 on execution/validation
 // failure.
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -44,14 +45,27 @@ using namespace gpurel;
 
 namespace {
 
+/// The `plan` flag budgeting one stratum ("store-value").
+std::string budget_flag(fault::SiteClass cls) {
+  std::string flag(fault::site_class_names(cls).budget);
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  return flag;
+}
+
 int usage() {
+  // One line of stratum flags per family: architectural, micro-architectural.
+  std::string strata[2];
+  for (const fault::SiteClass cls : fault::kStratumClasses) {
+    std::string& line = strata[fault::is_microarch(cls) ? 1 : 0];
+    line += (line.empty() ? "         --" : " --") + budget_flag(cls) + "=N";
+  }
   std::fprintf(stderr,
                "usage: gpurel_jobs <plan|run|merge|report> [--flags]\n"
                "  plan  --kind=campaign|beam --arch=kepler|volta [--sm=N]\n"
                "        --code=NAME --precision=int|half|single|double\n"
                "        [--injector=SASSIFI|NVBitFI|MicroArch --injections=N\n"
-               "         --rf=N --pred=N --ia=N --store-value=N --store-addr=N\n"
-               "         --sched=N --scoreboard=N --cta=N --warp-control=N\n"
+               "%s\n"
+               "%s\n"
                "         --propagation]\n"
                "        [--ecc[=false] --mode=accelerated|natural --runs=N\n"
                "         --flux-scale=X]\n"
@@ -61,7 +75,8 @@ int usage() {
                "        --checkpoint=FILE --checkpoint-every=N\n"
                "        --metrics-out=FILE --trace-out=FILE --progress]\n"
                "  merge --out=FILE SHARD_RESULT.json...\n"
-               "  report RESULT.json\n");
+               "  report RESULT.json\n",
+               strata[0].c_str(), strata[1].c_str());
   return 1;
 }
 
@@ -105,15 +120,8 @@ int cmd_plan(const Cli& cli) {
     // with the list of registered injectors).
     spec.profile = fault::make_injector(spec.injector)->profile();
     spec.budget.injections_per_kind = cli.get_uint("injections", 120);
-    spec.budget.rf_injections = cli.get_uint("rf", 0);
-    spec.budget.pred_injections = cli.get_uint("pred", 0);
-    spec.budget.ia_injections = cli.get_uint("ia", 0);
-    spec.budget.store_value_injections = cli.get_uint("store-value", 0);
-    spec.budget.store_addr_injections = cli.get_uint("store-addr", 0);
-    spec.budget.sched_injections = cli.get_uint("sched", 0);
-    spec.budget.scoreboard_injections = cli.get_uint("scoreboard", 0);
-    spec.budget.cta_injections = cli.get_uint("cta", 0);
-    spec.budget.warp_control_injections = cli.get_uint("warp-control", 0);
+    for (const fault::SiteClass cls : fault::kStratumClasses)
+      spec.budget.of(cls) = cli.get_uint(budget_flag(cls), 0);
     spec.propagation = cli.get_bool("propagation", false);
   } else {
     spec.kind = job::JobKind::Beam;
